@@ -86,8 +86,8 @@ pub trait LatencyMechanism: Send {
     /// the well-known names).
     fn report_stats(&self, out: &mut dyn StatSink);
 
-    /// The mechanism's registered name (matches
-    /// [`crate::MechanismSpec::name`] for registry-built instances).
+    /// The mechanism's registered name (matches the `MechanismSpec`'s
+    /// [`dram::spec::Spec::name`] for registry-built instances).
     fn name(&self) -> &str;
 
     /// Serializes the mechanism's complete mutable state for

@@ -11,16 +11,9 @@
 //!
 //! # Spec grammar
 //!
-//! ```text
-//! spec     := name | name "(" params ")"
-//! params   := param ("," param)*
-//! param    := key "=" value
-//! value    := bool | int | float | duration | token
-//! duration := float "ms"            # e.g. 1ms, 2.5ms
-//! ```
-//!
-//! Names, keys and bare tokens match `[A-Za-z_][A-Za-z0-9_.+-]*`;
-//! whitespace around tokens is ignored. [`MechanismSpec`] round-trips:
+//! A [`MechanismSpec`] is written in the `name(key=val,...)` grammar
+//! shared by every spec kind (see [`dram::spec`]) and accepts every value
+//! shape: bool, int, float, duration (`1ms`) and token. It round-trips:
 //! `spec.to_string().parse()` reproduces the spec exactly.
 //!
 //! # Example
@@ -73,9 +66,12 @@
 //! ```
 
 use std::fmt;
+use std::ops::{Deref, DerefMut};
 use std::str::FromStr;
 use std::sync::{Arc, OnceLock, RwLock};
 
+pub use dram::spec::ParamValue;
+use dram::spec::Spec;
 use dram::TimingParams;
 
 use crate::config::{ChargeCacheConfig, InvalidationPolicy, NuatConfig};
@@ -83,233 +79,28 @@ use crate::mechanism::{Baseline, CcNuat, ChargeCache, LatencyMechanism, LlDram, 
 use bitline::derive::CycleQuantized;
 
 // ---------------------------------------------------------------------------
-// Parameter values
-// ---------------------------------------------------------------------------
-
-/// One typed parameter value of a [`MechanismSpec`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum ParamValue {
-    /// `true` / `false`.
-    Bool(bool),
-    /// A signed integer (no decimal point).
-    Int(i64),
-    /// A float (always displayed with a decimal point or exponent).
-    Float(f64),
-    /// A duration in milliseconds (`1ms`, `2.5ms`).
-    DurationMs(f64),
-    /// A bare token (e.g. `invalidation=exact`).
-    Str(String),
-}
-
-impl fmt::Display for ParamValue {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ParamValue::Bool(b) => write!(f, "{b}"),
-            ParamValue::Int(i) => write!(f, "{i}"),
-            ParamValue::Float(x) => {
-                let s = format!("{x}");
-                if s.contains('.') || s.contains('e') || s.contains("inf") || s.contains("NaN") {
-                    f.write_str(&s)
-                } else {
-                    write!(f, "{s}.0")
-                }
-            }
-            ParamValue::DurationMs(x) => write!(f, "{x}ms"),
-            ParamValue::Str(s) => f.write_str(s),
-        }
-    }
-}
-
-/// True for tokens matching `[A-Za-z_][A-Za-z0-9_.+-]*`.
-fn is_token(s: &str) -> bool {
-    let mut chars = s.chars();
-    match chars.next() {
-        Some(c) if c.is_ascii_alphabetic() || c == '_' => {}
-        _ => return false,
-    }
-    chars.all(|c| c.is_ascii_alphanumeric() || matches!(c, '_' | '.' | '+' | '-'))
-}
-
-impl FromStr for ParamValue {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, String> {
-        let s = s.trim();
-        if s.is_empty() {
-            return Err("empty parameter value".into());
-        }
-        match s {
-            "true" => return Ok(ParamValue::Bool(true)),
-            "false" => return Ok(ParamValue::Bool(false)),
-            _ => {}
-        }
-        // Only tokens that *start* numerically are candidates for the
-        // numeric types; word-shaped tokens `f64` happens to accept
-        // ("inf", "nan", "infms") stay `Str`, so Display → FromStr is
-        // the identity on every accepted value.
-        let numeric_shaped =
-            s.starts_with(|c: char| c.is_ascii_digit() || matches!(c, '-' | '+' | '.'));
-        if numeric_shaped {
-            if let Some(ms) = s.strip_suffix("ms") {
-                if let Ok(x) = ms.parse::<f64>() {
-                    if !x.is_finite() {
-                        return Err(format!("non-finite duration {s:?}"));
-                    }
-                    return Ok(ParamValue::DurationMs(x));
-                }
-            }
-            if let Ok(i) = s.parse::<i64>() {
-                return Ok(ParamValue::Int(i));
-            }
-            if let Ok(x) = s.parse::<f64>() {
-                if !x.is_finite() {
-                    return Err(format!("non-finite number {s:?}"));
-                }
-                return Ok(ParamValue::Float(x));
-            }
-        }
-        if is_token(s) {
-            return Ok(ParamValue::Str(s.to_string()));
-        }
-        Err(format!("unparsable parameter value {s:?}"))
-    }
-}
-
-// ---------------------------------------------------------------------------
 // MechanismSpec
 // ---------------------------------------------------------------------------
 
 /// A mechanism configuration: a registered name plus typed parameters.
 ///
-/// Parameters keep insertion order, so [`fmt::Display`] output is
-/// deterministic; only *explicitly set* parameters are stored — factory
-/// defaults apply at build time. Parse with [`FromStr`]
-/// (`"chargecache(entries=1024,duration=1ms)".parse()`).
+/// Only *explicitly set* parameters are stored — factory defaults apply
+/// at build time. Parse with [`FromStr`]
+/// (`"chargecache(entries=1024,duration=1ms)".parse()`); the shared
+/// [`Spec`] accessors and typed getters are reachable through `Deref`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct MechanismSpec {
-    name: String,
-    params: Vec<(String, ParamValue)>,
-}
+pub struct MechanismSpec(Spec);
 
 impl MechanismSpec {
-    /// A spec with no parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is not a valid token
-    /// (`[A-Za-z_][A-Za-z0-9_.+-]*`).
+    /// A spec with no parameters (see [`Spec::new`]).
     pub fn new(name: impl Into<String>) -> Self {
-        let name = name.into();
-        assert!(is_token(&name), "invalid mechanism name {name:?}");
-        Self {
-            name,
-            params: Vec::new(),
-        }
+        Self(Spec::new(name))
     }
 
-    /// Builder-style parameter setter.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key` is not a valid token.
+    /// Builder-style parameter setter (see [`Spec::set`]).
     #[must_use]
-    pub fn with(mut self, key: impl Into<String>, value: ParamValue) -> Self {
-        self.set(key, value);
-        self
-    }
-
-    /// Sets (or replaces) one parameter.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key` is not a valid token.
-    pub fn set(&mut self, key: impl Into<String>, value: ParamValue) {
-        let key = key.into();
-        assert!(is_token(&key), "invalid parameter key {key:?}");
-        match self.params.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, v)) => *v = value,
-            None => self.params.push((key, value)),
-        }
-    }
-
-    /// The mechanism name (registry lookup key).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The explicitly set parameters, in insertion order.
-    pub fn params(&self) -> &[(String, ParamValue)] {
-        &self.params
-    }
-
-    /// One parameter, if explicitly set.
-    pub fn get(&self, key: &str) -> Option<&ParamValue> {
-        self.params.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-
-    /// A positive integer parameter with a default.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message if the value is present but not a non-negative
-    /// integer.
-    pub fn usize_param(&self, key: &str, default: usize) -> Result<usize, String> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(ParamValue::Int(i)) if *i >= 0 => Ok(*i as usize),
-            Some(v) => Err(format!("{key} must be a non-negative integer, got {v}")),
-        }
-    }
-
-    /// A float parameter with a default (accepts ints, floats and
-    /// durations).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message if the value is present but not numeric.
-    pub fn f64_param(&self, key: &str, default: f64) -> Result<f64, String> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(ParamValue::Int(i)) => Ok(*i as f64),
-            Some(ParamValue::Float(x)) | Some(ParamValue::DurationMs(x)) => Ok(*x),
-            Some(v) => Err(format!("{key} must be numeric, got {v}")),
-        }
-    }
-
-    /// A duration parameter in milliseconds with a default (bare numbers
-    /// are read as milliseconds).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message if the value is present but not numeric.
-    pub fn duration_ms_param(&self, key: &str, default: f64) -> Result<f64, String> {
-        self.f64_param(key, default)
-    }
-
-    /// A boolean parameter with a default.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message if the value is present but not a boolean.
-    pub fn bool_param(&self, key: &str, default: bool) -> Result<bool, String> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(ParamValue::Bool(b)) => Ok(*b),
-            Some(v) => Err(format!("{key} must be true or false, got {v}")),
-        }
-    }
-
-    /// A token parameter with a default.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message if the value is present but not a bare token.
-    pub fn str_param(&self, key: &str, default: &str) -> Result<String, String> {
-        match self.get(key) {
-            None => Ok(default.to_string()),
-            Some(ParamValue::Str(s)) => Ok(s.clone()),
-            Some(v) => Err(format!("{key} must be a token, got {v}")),
-        }
+    pub fn with(self, key: impl Into<String>, value: ParamValue) -> Self {
+        Self(self.0.with(key, value))
     }
 
     /// Rejects any parameter key outside `allowed` (factories call this so
@@ -319,11 +110,11 @@ impl MechanismSpec {
     ///
     /// Returns a message naming the first unknown key.
     pub fn ensure_known_keys(&self, allowed: &[&str]) -> Result<(), String> {
-        for (k, _) in &self.params {
+        for (k, _) in self.params() {
             if !allowed.contains(&k.as_str()) {
                 return Err(format!(
                     "unknown parameter {k:?} for mechanism {:?} (known: {})",
-                    self.name,
+                    self.name(),
                     if allowed.is_empty() {
                         "none".to_string()
                     } else {
@@ -343,20 +134,22 @@ impl MechanismSpec {
     }
 }
 
+impl Deref for MechanismSpec {
+    type Target = Spec;
+    fn deref(&self) -> &Spec {
+        &self.0
+    }
+}
+
+impl DerefMut for MechanismSpec {
+    fn deref_mut(&mut self) -> &mut Spec {
+        &mut self.0
+    }
+}
+
 impl fmt::Display for MechanismSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.name)?;
-        if self.params.is_empty() {
-            return Ok(());
-        }
-        f.write_str("(")?;
-        for (i, (k, v)) in self.params.iter().enumerate() {
-            if i > 0 {
-                f.write_str(",")?;
-            }
-            write!(f, "{k}={v}")?;
-        }
-        f.write_str(")")
+        self.0.fmt(f)
     }
 }
 
@@ -364,40 +157,12 @@ impl FromStr for MechanismSpec {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, String> {
-        let s = s.trim();
-        let (name, params_src) = match s.find('(') {
-            None => (s, None),
-            Some(open) => {
-                let Some(body) = s[open + 1..].strip_suffix(')') else {
-                    return Err(format!("spec {s:?} is missing its closing ')'"));
-                };
-                (&s[..open], Some(body))
-            }
-        };
-        let name = name.trim();
-        if !is_token(name) {
-            return Err(format!("invalid mechanism name {name:?}"));
-        }
-        let mut spec = MechanismSpec::new(name);
-        if let Some(body) = params_src {
-            let body = body.trim();
-            if !body.is_empty() {
-                for part in body.split(',') {
-                    let Some((k, v)) = part.split_once('=') else {
-                        return Err(format!("parameter {part:?} is not key=value"));
-                    };
-                    let k = k.trim();
-                    if !is_token(k) {
-                        return Err(format!("invalid parameter key {k:?}"));
-                    }
-                    if spec.get(k).is_some() {
-                        return Err(format!("duplicate parameter {k:?}"));
-                    }
-                    spec.set(k, v.parse::<ParamValue>()?);
-                }
-            }
-        }
-        Ok(spec)
+        Spec::parse(
+            s,
+            "mechanism",
+            &["bool", "int", "float", "duration", "token"],
+        )
+        .map(Self)
     }
 }
 
@@ -455,7 +220,7 @@ pub struct MechanismContext<'a> {
 
 /// Builds and validates one named mechanism family.
 pub trait MechanismFactory: Send + Sync {
-    /// The registered name ([`MechanismSpec::name`] lookup key).
+    /// The registered name (the [`Spec::name`] lookup key).
     fn name(&self) -> &str;
 
     /// Accepted alternate names (e.g. `cc` for `chargecache`).
@@ -1097,11 +862,25 @@ mod tests {
         assert_eq!(r.factories().len(), 6);
     }
 
+    /// Display → FromStr must be the identity on `spec`.
+    fn assert_roundtrips<T>(spec: &T)
+    where
+        T: FromStr<Err = String> + fmt::Display + fmt::Debug + PartialEq,
+    {
+        let text = spec.to_string();
+        let parsed: T = text
+            .parse()
+            .unwrap_or_else(|e| panic!("{text:?} failed to parse: {e}"));
+        assert_eq!(&parsed, spec, "round-trip changed {text:?}");
+        assert_eq!(parsed.to_string(), text);
+    }
+
     #[test]
     fn seeded_random_specs_roundtrip_through_display() {
         // Dependency-free property test: a seeded xorshift generator
-        // produces arbitrary valid specs; Display → FromStr must be the
-        // identity on every one of them.
+        // produces arbitrary valid specs of all three kinds, each with
+        // values of the shapes its parser accepts; Display → FromStr must
+        // be the identity on every one of them.
         let mut state = 0x1234_5678_9ABC_DEF0u64;
         let mut next = move || {
             state ^= state << 13;
@@ -1119,8 +898,10 @@ mod tests {
             }
             s
         };
-        for _ in 0..500 {
-            let mut spec = MechanismSpec::new(token(&mut next));
+        for round in 0..1500 {
+            let kind = round % 3;
+            let name = token(&mut next);
+            let mut params = Vec::new();
             let nparams = next() % 5;
             for i in 0..nparams {
                 let value = match next() % 5 {
@@ -1138,15 +919,69 @@ mod tests {
                         ParamValue::Str(t)
                     }
                 };
-                // Unique keys: suffix with the index.
-                spec.set(format!("{}{i}", token(&mut next)), value);
+                let accepted = match kind {
+                    0 => true,
+                    1 => matches!(value, ParamValue::Int(_) | ParamValue::Float(_)),
+                    _ => matches!(
+                        value,
+                        ParamValue::Int(_) | ParamValue::Str(_) | ParamValue::Bool(_)
+                    ),
+                };
+                if accepted {
+                    // Unique keys: suffix with the index.
+                    params.push((format!("{}{i}", token(&mut next)), value));
+                }
             }
-            let text = spec.to_string();
-            let parsed: MechanismSpec = text
-                .parse()
-                .unwrap_or_else(|e| panic!("{text:?} failed to parse: {e}"));
-            assert_eq!(parsed, spec, "round-trip changed {text:?}");
-            assert_eq!(parsed.to_string(), text);
+            match kind {
+                0 => {
+                    let mut spec = MechanismSpec::new(name);
+                    params.into_iter().for_each(|(k, v)| spec.set(k, v));
+                    assert_roundtrips(&spec);
+                }
+                1 => {
+                    let mut spec = dram::TimingSpec::new(name);
+                    params.into_iter().for_each(|(k, v)| spec.set(k, v));
+                    assert_roundtrips(&spec);
+                }
+                _ => {
+                    let mut spec = dram::FamilySpec::new(name);
+                    params.into_iter().for_each(|(k, v)| spec.set(k, v));
+                    assert_roundtrips(&spec);
+                }
+            }
         }
+    }
+
+    #[test]
+    fn each_spec_kind_accepts_only_its_value_shapes() {
+        use dram::family::{self, FamilyError, FamilySpec};
+        use dram::TimingSpec;
+
+        // Shapes a kind's resolver cannot use fail at parse.
+        for bad in [
+            "ddr3-1600(trcd=abc)",
+            "ddr3-1600(trcd=1ms)",
+            "ddr3-1600(trcd=true)",
+        ] {
+            assert!(bad.parse::<TimingSpec>().is_err(), "parsed {bad:?}");
+        }
+        assert!("ddr4(banks=1.5)".parse::<FamilySpec>().is_err());
+        // A negative count is an int, so it may fail at either stage.
+        assert!("ddr4(banks=-1)"
+            .parse::<FamilySpec>()
+            .map_or(true, |f| family::resolve(&f).is_err()));
+
+        // Accepted shapes parse; the resolvers judge the values.
+        let tck: TimingSpec = "ddr3-1600(tck=-1.0)".parse().unwrap();
+        assert!(tck.resolve().is_err());
+        let cc: MechanismSpec = "chargecache(duration=1ms)".parse().unwrap();
+        assert_eq!(cc.get("duration"), Some(&ParamValue::DurationMs(1.0)));
+        let hbm: FamilySpec = "hbm2(refresh=per-bank)".parse().unwrap();
+        family::resolve(&hbm).unwrap();
+        let ddr4: FamilySpec = "ddr4(refresh=true)".parse().unwrap();
+        assert!(matches!(
+            family::resolve(&ddr4),
+            Err(FamilyError::BadValue { .. })
+        ));
     }
 }

@@ -8,18 +8,11 @@
 //! all-bank refresh, channel and pseudo-channel counts, bank counts,
 //! row/column geometry and the burst length.
 //!
-//! Families are described declaratively — a [`FamilyParams`] record in a
-//! [`FamilyRegistry`], the way probe-rs describes chips as data rather
-//! than code — and selected with a [`FamilySpec`] string using the same
-//! `name(key=val,...)` grammar as `TimingSpec` and the mechanism layer's
-//! `MechanismSpec`:
-//!
-//! ```text
-//! spec     := family | family "(" params ")"
-//! params   := param ("," param)*
-//! param    := key "=" value
-//! value    := int | token              # e.g. banks=16, refresh=per-bank
-//! ```
+//! Families are described declaratively — a table of [`FamilyParams`]
+//! records, the way probe-rs describes chips as data rather than code —
+//! and selected with a [`FamilySpec`] in the shared
+//! [`name(key=val,...)` grammar](crate::spec), whose values here are
+//! integers and tokens (`banks=16`, `refresh=per-bank`).
 //!
 //! [`FamilySpec`] round-trips: `spec.to_string().parse()` reproduces the
 //! spec exactly. Resolution is validated: incoherent group spacing
@@ -48,10 +41,11 @@
 //! ```
 
 use std::fmt;
+use std::ops::{Deref, DerefMut};
 use std::str::FromStr;
-use std::sync::{OnceLock, RwLock};
 
 use crate::config::Organization;
+use crate::spec::{ParamValue, Spec};
 use crate::timing::{SpeedBin, TimingParams};
 
 /// Refresh command scope of a device family.
@@ -82,10 +76,10 @@ impl fmt::Display for RefreshGranularity {
     }
 }
 
-/// A typed rejection from family resolution ([`FamilyRegistry::resolve`]).
+/// A typed rejection from family resolution ([`resolve`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum FamilyError {
-    /// The spec names a family the registry does not know.
+    /// The spec names a family the built-in table does not know.
     UnknownFamily {
         /// The unknown name.
         name: String,
@@ -159,55 +153,7 @@ impl fmt::Display for FamilyError {
 
 impl std::error::Error for FamilyError {}
 
-/// One override value of a [`FamilySpec`]: a count or a bare token
-/// (`refresh=per-bank`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FamilyValue {
-    /// An unsigned integer (geometry and cycle-count keys).
-    Int(u32),
-    /// A bare token (the `refresh` key).
-    Token(String),
-}
-
-impl fmt::Display for FamilyValue {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FamilyValue::Int(i) => write!(f, "{i}"),
-            FamilyValue::Token(t) => f.write_str(t),
-        }
-    }
-}
-
-impl FromStr for FamilyValue {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, String> {
-        let s = s.trim();
-        if s.is_empty() {
-            return Err("empty parameter value".into());
-        }
-        if let Ok(i) = s.parse::<u32>() {
-            return Ok(FamilyValue::Int(i));
-        }
-        if is_token(s) {
-            return Ok(FamilyValue::Token(s.to_string()));
-        }
-        Err(format!("unparsable family value {s:?}"))
-    }
-}
-
-/// True for tokens matching `[A-Za-z_][A-Za-z0-9_.+-]*` (the shared
-/// spec-grammar token rule).
-fn is_token(s: &str) -> bool {
-    let mut chars = s.chars();
-    match chars.next() {
-        Some(c) if c.is_ascii_alphabetic() || c == '_' => {}
-        _ => return false,
-    }
-    chars.all(|c| c.is_ascii_alphanumeric() || matches!(c, '_' | '.' | '+' | '-'))
-}
-
-/// Override keys accepted by [`FamilyRegistry::resolve`].
+/// Override keys accepted by [`resolve`].
 pub const FAMILY_KEYS: &[&str] = &[
     "bank_groups",
     "banks",
@@ -226,73 +172,19 @@ pub const FAMILY_KEYS: &[&str] = &[
     "trfcpb",
 ];
 
-/// A device-family selection: a registered family name plus typed
-/// overrides, mirroring the `TimingSpec`/`MechanismSpec` grammar.
+/// A device-family selection: a built-in family name plus overrides —
+/// integers, or a token for `refresh`.
 ///
-/// Overrides keep insertion order, so [`fmt::Display`] output is
-/// deterministic; only *explicitly set* overrides are stored — the
-/// registered family supplies every other field at resolution time.
+/// Only *explicitly set* overrides are stored; the named family supplies
+/// every other field at resolution time. The [`Spec`] accessors are
+/// reachable through `Deref`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct FamilySpec {
-    family: String,
-    params: Vec<(String, FamilyValue)>,
-}
+pub struct FamilySpec(Spec);
 
 impl FamilySpec {
-    /// A spec with no overrides.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `family` is not a valid token
-    /// (`[A-Za-z_][A-Za-z0-9_.+-]*`). Unknown (but well-formed) family
-    /// names are accepted here and rejected at resolution.
+    /// A spec with no overrides (see [`Spec::new`]).
     pub fn new(family: impl Into<String>) -> Self {
-        let family = family.into();
-        assert!(is_token(&family), "invalid family name {family:?}");
-        Self {
-            family,
-            params: Vec::new(),
-        }
-    }
-
-    /// Builder-style override setter.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key` is not a valid token.
-    #[must_use]
-    pub fn with(mut self, key: impl Into<String>, value: FamilyValue) -> Self {
-        self.set(key, value);
-        self
-    }
-
-    /// Sets (or replaces) one override.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key` is not a valid token.
-    pub fn set(&mut self, key: impl Into<String>, value: FamilyValue) {
-        let key = key.into();
-        assert!(is_token(&key), "invalid family key {key:?}");
-        match self.params.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, v)) => *v = value,
-            None => self.params.push((key, value)),
-        }
-    }
-
-    /// The family name (registry lookup key).
-    pub fn family(&self) -> &str {
-        &self.family
-    }
-
-    /// The explicitly set overrides, in insertion order.
-    pub fn params(&self) -> &[(String, FamilyValue)] {
-        &self.params
-    }
-
-    /// One override, if explicitly set.
-    pub fn get(&self, key: &str) -> Option<&FamilyValue> {
-        self.params.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+        Self(Spec::new(family))
     }
 
     /// True when this spec resolves to the same device structure as the
@@ -300,7 +192,7 @@ impl FamilySpec {
     /// `TimingSpec::is_default`, so `ddr3()` and redundant overrides
     /// behave exactly like the default.
     pub fn is_default(&self) -> bool {
-        if self.family == "ddr3" && self.params.is_empty() {
+        if self.name() == "ddr3" && self.params().is_empty() {
             return true;
         }
         match (resolve(self), resolve(&FamilySpec::default())) {
@@ -317,20 +209,22 @@ impl Default for FamilySpec {
     }
 }
 
+impl Deref for FamilySpec {
+    type Target = Spec;
+    fn deref(&self) -> &Spec {
+        &self.0
+    }
+}
+
+impl DerefMut for FamilySpec {
+    fn deref_mut(&mut self) -> &mut Spec {
+        &mut self.0
+    }
+}
+
 impl fmt::Display for FamilySpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.family)?;
-        if self.params.is_empty() {
-            return Ok(());
-        }
-        f.write_str("(")?;
-        for (i, (k, v)) in self.params.iter().enumerate() {
-            if i > 0 {
-                f.write_str(",")?;
-            }
-            write!(f, "{k}={v}")?;
-        }
-        f.write_str(")")
+        self.0.fmt(f)
     }
 }
 
@@ -338,40 +232,7 @@ impl FromStr for FamilySpec {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, String> {
-        let s = s.trim();
-        let (family, params_src) = match s.find('(') {
-            None => (s, None),
-            Some(open) => {
-                let Some(body) = s[open + 1..].strip_suffix(')') else {
-                    return Err(format!("family spec {s:?} is missing its closing ')'"));
-                };
-                (&s[..open], Some(body))
-            }
-        };
-        let family = family.trim();
-        if !is_token(family) {
-            return Err(format!("invalid family name {family:?}"));
-        }
-        let mut spec = FamilySpec::new(family);
-        if let Some(body) = params_src {
-            let body = body.trim();
-            if !body.is_empty() {
-                for part in body.split(',') {
-                    let Some((k, v)) = part.split_once('=') else {
-                        return Err(format!("family parameter {part:?} is not key=value"));
-                    };
-                    let k = k.trim();
-                    if !is_token(k) {
-                        return Err(format!("invalid family key {k:?}"));
-                    }
-                    if spec.get(k).is_some() {
-                        return Err(format!("duplicate family parameter {k:?}"));
-                    }
-                    spec.set(k, v.parse::<FamilyValue>()?);
-                }
-            }
-        }
-        Ok(spec)
+        Spec::parse(s, "family", &["int", "token", "bool"]).map(Self)
     }
 }
 
@@ -383,7 +244,7 @@ impl FromStr for FamilySpec {
 /// only explicit ones onto a resolved [`TimingParams`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct FamilyParams {
-    /// Canonical family name (registry key).
+    /// Canonical family name.
     pub name: String,
     /// Bank groups per rank (1 = ungrouped).
     pub bank_groups: u8,
@@ -547,41 +408,23 @@ impl FamilyParams {
     }
 }
 
-/// One registry entry: the base description plus its listing metadata.
-#[derive(Debug, Clone)]
-struct FamilyEntry {
-    describe: String,
-    aliases: Vec<String>,
+/// A built-in family: its base parameters plus listing metadata.
+struct Builtin {
+    describe: &'static str,
+    aliases: &'static [&'static str],
     base: FamilyParams,
 }
 
-/// The device-family registry, mirroring the mechanism registry: a
-/// deterministic, name-addressable table of [`FamilyParams`] that
-/// [`FamilySpec`]s resolve against. [`FamilyRegistry::builtin`]
-/// preloads the four standard targets; custom families can be added
-/// with [`FamilyRegistry::register`] (or globally with
-/// [`register_family`]).
-#[derive(Debug, Clone)]
-pub struct FamilyRegistry {
-    entries: Vec<FamilyEntry>,
-}
-
-impl FamilyRegistry {
-    /// An empty registry (no built-ins).
-    pub fn empty() -> Self {
-        Self {
-            entries: Vec::new(),
-        }
-    }
-
-    /// A registry preloaded with the built-in families: the paper's DDR3
-    /// device, a DDR4-2400-style device (4 bank groups), an
-    /// LPDDR4x-style device (long `tRCD`, per-bank refresh) and an
-    /// HBM2-style stack (8 channels × 2 pseudo-channels, small rows).
-    pub fn builtin() -> Self {
-        let mut r = Self::empty();
-        r.register(
-            FamilyParams {
+/// The built-in families, in listing order: the paper's DDR3 device, a
+/// DDR4-2400-style device (4 bank groups), an LPDDR4x-style device (long
+/// `tRCD`, per-bank refresh) and an HBM2-style stack (8 channels × 2
+/// pseudo-channels, small rows).
+fn builtins() -> [Builtin; 4] {
+    [
+        Builtin {
+            describe: "the paper's Table 1 DDR3 device: ungrouped, all-bank refresh",
+            aliases: &["ddr3-1600"],
+            base: FamilyParams {
                 name: "ddr3".into(),
                 bank_groups: 1,
                 banks: 8,
@@ -601,11 +444,11 @@ impl FamilyRegistry {
                 trrd_s: 0,
                 trfcpb: 0,
             },
-            "the paper's Table 1 DDR3 device: ungrouped, all-bank refresh",
-            &["ddr3-1600"],
-        );
-        r.register(
-            FamilyParams {
+        },
+        Builtin {
+            describe: "DDR4-2400-style: 4 bank groups with long/short column and activate spacing",
+            aliases: &["ddr4-2400"],
+            base: FamilyParams {
                 name: "ddr4".into(),
                 bank_groups: 4,
                 banks: 16,
@@ -625,11 +468,11 @@ impl FamilyRegistry {
                 trrd_s: 6,
                 trfcpb: 0,
             },
-            "DDR4-2400-style: 4 bank groups with long/short column and activate spacing",
-            &["ddr4-2400"],
-        );
-        r.register(
-            FamilyParams {
+        },
+        Builtin {
+            describe: "LPDDR4x-style: long tRCD, 2 KB rows, per-bank refresh (tRFCpb)",
+            aliases: &["lpddr4x-3200"],
+            base: FamilyParams {
                 name: "lpddr4x".into(),
                 bank_groups: 1,
                 banks: 8,
@@ -649,11 +492,11 @@ impl FamilyRegistry {
                 trrd_s: 0,
                 trfcpb: 224,
             },
-            "LPDDR4x-style: long tRCD, 2 KB rows, per-bank refresh (tRFCpb)",
-            &["lpddr4x-3200"],
-        );
-        r.register(
-            FamilyParams {
+        },
+        Builtin {
+            describe: "HBM2-style stack: 8 channels x 2 pseudo-channels, small rows, 4 bank groups",
+            aliases: &["hbm2-1000"],
+            base: FamilyParams {
                 name: "hbm2".into(),
                 bank_groups: 4,
                 banks: 16,
@@ -673,190 +516,102 @@ impl FamilyRegistry {
                 trrd_s: 4,
                 trfcpb: 160,
             },
-            "HBM2-style stack: 8 channels x 2 pseudo-channels, small rows, 4 bank groups",
-            &["hbm2-1000"],
-        );
-        r
-    }
+        },
+    ]
+}
 
-    /// Registers (or replaces) a family under `base.name`, with listing
-    /// description and alias names.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the name or an alias is not a valid token.
-    pub fn register(&mut self, base: FamilyParams, describe: &str, aliases: &[&str]) {
-        assert!(is_token(&base.name), "invalid family name {:?}", base.name);
-        for a in aliases {
-            assert!(is_token(a), "invalid family alias {a:?}");
-        }
-        let entry = FamilyEntry {
-            describe: describe.to_string(),
-            aliases: aliases.iter().map(|s| s.to_string()).collect(),
-            base,
+/// Resolves a spec into validated [`FamilyParams`]: the named built-in
+/// (or the built-in an alias such as `ddr4-2400` names) with each
+/// override applied, then checked by [`FamilyParams::validate`].
+///
+/// # Errors
+///
+/// Returns a typed [`FamilyError`] for unknown families or keys,
+/// ill-shaped values, incoherent group spacing, unsupported per-bank
+/// refresh, or inconsistent geometry.
+pub fn resolve(spec: &FamilySpec) -> Result<FamilyParams, FamilyError> {
+    let name = spec.name();
+    let Some(Builtin { base: mut p, .. }) = builtins()
+        .into_iter()
+        .find(|b| b.base.name == name || b.aliases.contains(&name))
+    else {
+        return Err(FamilyError::UnknownFamily {
+            name: name.to_string(),
+            known: builtins().map(|b| b.base.name).join(", "),
+        });
+    };
+    for (key, value) in spec.params() {
+        let bad = |message: String| FamilyError::BadValue {
+            key: key.clone(),
+            message,
         };
-        match self
-            .entries
-            .iter_mut()
-            .find(|e| e.base.name == entry.base.name)
-        {
-            Some(e) => *e = entry,
-            None => self.entries.push(entry),
-        }
-    }
-
-    /// The canonical family name for `name` (resolving aliases), if
-    /// registered.
-    pub fn canonicalize(&self, name: &str) -> Option<&str> {
-        self.entries
-            .iter()
-            .find(|e| e.base.name == name || e.aliases.iter().any(|a| a == name))
-            .map(|e| e.base.name.as_str())
-    }
-
-    /// `(name, description, base params)` for every registered family,
-    /// in registration order (drives `cc-sim --list-families`).
-    pub fn list(&self) -> Vec<(String, String, FamilyParams)> {
-        self.entries
-            .iter()
-            .map(|e| (e.base.name.clone(), e.describe.clone(), e.base.clone()))
-            .collect()
-    }
-
-    /// Resolves a spec into validated [`FamilyParams`]: the registered
-    /// base with each override applied, then checked by
-    /// [`FamilyParams::validate`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`FamilyError`] for unknown families or keys,
-    /// ill-shaped values, incoherent group spacing, unsupported per-bank
-    /// refresh, or inconsistent geometry.
-    pub fn resolve(&self, spec: &FamilySpec) -> Result<FamilyParams, FamilyError> {
-        let Some(canonical) = self.canonicalize(spec.family()) else {
-            return Err(FamilyError::UnknownFamily {
-                name: spec.family().to_string(),
-                known: self
-                    .entries
-                    .iter()
-                    .map(|e| e.base.name.as_str())
-                    .collect::<Vec<_>>()
-                    .join(", "),
-            });
+        let int = || -> Result<u32, FamilyError> {
+            match value {
+                ParamValue::Int(i) => u32::try_from(*i)
+                    .map_err(|_| bad(format!("expected an unsigned 32-bit integer, got {i}"))),
+                other => Err(bad(format!(
+                    "expected an integer, got {:?}",
+                    other.to_string()
+                ))),
+            }
         };
-        let mut p = self
-            .entries
-            .iter()
-            .find(|e| e.base.name == canonical)
-            .expect("canonicalize returned an unregistered name")
-            .base
-            .clone();
-        for (key, value) in spec.params() {
-            let int = |v: &FamilyValue| -> Result<u32, FamilyError> {
-                match v {
-                    FamilyValue::Int(i) => Ok(*i),
-                    FamilyValue::Token(t) => Err(FamilyError::BadValue {
-                        key: key.clone(),
-                        message: format!("expected an integer, got {t:?}"),
-                    }),
-                }
-            };
-            let small = |v: &FamilyValue| -> Result<u8, FamilyError> {
-                let i = int(v)?;
-                u8::try_from(i).map_err(|_| FamilyError::BadValue {
-                    key: key.clone(),
-                    message: format!("{i} does not fit in 8 bits"),
-                })
-            };
-            match key.as_str() {
-                "bank_groups" => p.bank_groups = small(value)?,
-                "banks" => p.banks = small(value)?,
-                "ranks" => p.ranks = small(value)?,
-                "channels" => p.channels = small(value)?,
-                "pseudo_channels" => p.pseudo_channels = small(value)?,
-                "rows" => p.rows = int(value)?,
-                "columns" => p.columns = int(value)?,
-                "burst" => p.burst = int(value)?,
-                "retention" => p.retention_ms = f64::from(int(value)?),
-                "tccd_l" => p.tccd_l = int(value)?,
-                "tccd_s" => p.tccd_s = int(value)?,
-                "trrd_l" => p.trrd_l = int(value)?,
-                "trrd_s" => p.trrd_s = int(value)?,
-                "trfcpb" => p.trfcpb = int(value)?,
-                "refresh" => {
-                    p.refresh = match value {
-                        FamilyValue::Token(t) if t == "all-bank" => RefreshGranularity::AllBank,
-                        FamilyValue::Token(t) if t == "per-bank" => RefreshGranularity::PerBank,
-                        other => {
-                            return Err(FamilyError::BadValue {
-                                key: key.clone(),
-                                message: format!("expected all-bank or per-bank, got {other}"),
-                            })
-                        }
+        let small = || -> Result<u8, FamilyError> {
+            let i = int()?;
+            u8::try_from(i).map_err(|_| bad(format!("{i} does not fit in 8 bits")))
+        };
+        match key.as_str() {
+            "bank_groups" => p.bank_groups = small()?,
+            "banks" => p.banks = small()?,
+            "ranks" => p.ranks = small()?,
+            "channels" => p.channels = small()?,
+            "pseudo_channels" => p.pseudo_channels = small()?,
+            "rows" => p.rows = int()?,
+            "columns" => p.columns = int()?,
+            "burst" => p.burst = int()?,
+            "retention" => p.retention_ms = f64::from(int()?),
+            "tccd_l" => p.tccd_l = int()?,
+            "tccd_s" => p.tccd_s = int()?,
+            "trrd_l" => p.trrd_l = int()?,
+            "trrd_s" => p.trrd_s = int()?,
+            "trfcpb" => p.trfcpb = int()?,
+            "refresh" => {
+                p.refresh = match value {
+                    ParamValue::Str(t) if t == "all-bank" => RefreshGranularity::AllBank,
+                    ParamValue::Str(t) if t == "per-bank" => RefreshGranularity::PerBank,
+                    other => {
+                        return Err(bad(format!("expected all-bank or per-bank, got {other}")))
                     }
                 }
-                other => {
-                    return Err(FamilyError::UnknownKey {
-                        family: canonical.to_string(),
-                        key: other.to_string(),
-                        known: FAMILY_KEYS.join(", "),
-                    })
-                }
+            }
+            other => {
+                return Err(FamilyError::UnknownKey {
+                    family: p.name.clone(),
+                    key: other.to_string(),
+                    known: FAMILY_KEYS.join(", "),
+                })
             }
         }
-        p.validate()?;
-        Ok(p)
     }
+    p.validate()?;
+    Ok(p)
 }
 
-impl Default for FamilyRegistry {
-    fn default() -> Self {
-        Self::builtin()
-    }
-}
-
-fn global() -> &'static RwLock<FamilyRegistry> {
-    static GLOBAL: OnceLock<RwLock<FamilyRegistry>> = OnceLock::new();
-    GLOBAL.get_or_init(|| RwLock::new(FamilyRegistry::builtin()))
-}
-
-/// Registers a family in the process-wide registry (replacing any prior
-/// family of the same name).
-pub fn register_family(base: FamilyParams, describe: &str, aliases: &[&str]) {
-    global()
-        .write()
-        .expect("family registry poisoned")
-        .register(base, describe, aliases);
-}
-
-/// Runs `f` with read access to the process-wide registry.
-pub fn with_registry<R>(f: impl FnOnce(&FamilyRegistry) -> R) -> R {
-    f(&global().read().expect("family registry poisoned"))
-}
-
-/// Resolves a spec against the process-wide registry.
+/// Validates a spec without keeping the resolution.
 ///
 /// # Errors
 ///
-/// See [`FamilyRegistry::resolve`].
-pub fn resolve(spec: &FamilySpec) -> Result<FamilyParams, FamilyError> {
-    with_registry(|r| r.resolve(spec))
-}
-
-/// Validates a spec against the process-wide registry without keeping
-/// the resolution.
-///
-/// # Errors
-///
-/// See [`FamilyRegistry::resolve`].
+/// See [`resolve`].
 pub fn validate_spec(spec: &FamilySpec) -> Result<(), FamilyError> {
     resolve(spec).map(|_| ())
 }
 
-/// `(name, description, base params)` for every family in the
-/// process-wide registry.
+/// `(name, description, base params)` for every built-in family, in
+/// listing order (drives `cc-sim --list-families`).
 pub fn list_families() -> Vec<(String, String, FamilyParams)> {
-    with_registry(FamilyRegistry::list)
+    builtins()
+        .into_iter()
+        .map(|b| (b.base.name.clone(), b.describe.to_string(), b.base))
+        .collect()
 }
 
 #[cfg(test)]
@@ -907,10 +662,8 @@ mod tests {
     fn aliases_canonicalize() {
         let spec: FamilySpec = "ddr4-2400".parse().unwrap();
         assert_eq!(resolve(&spec).unwrap().name, "ddr4");
-        assert_eq!(
-            with_registry(|r| r.canonicalize("hbm2-1000").map(str::to_string)),
-            Some("hbm2".into())
-        );
+        let spec: FamilySpec = "hbm2-1000".parse().unwrap();
+        assert_eq!(resolve(&spec).unwrap().name, "hbm2");
     }
 
     #[test]

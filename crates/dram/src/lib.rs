@@ -64,12 +64,9 @@ pub use channel::Channel;
 pub use command::{BankLoc, Command, CommandKind, RankLoc, RowId};
 pub use config::{DramConfig, Organization};
 pub use error::IssueError;
-pub use family::{
-    FamilyError, FamilyParams, FamilyRegistry, FamilySpec, FamilyValue, RefreshGranularity,
-    FAMILY_KEYS,
-};
+pub use family::{FamilyError, FamilyParams, FamilySpec, RefreshGranularity, FAMILY_KEYS};
 pub use rank::Rank;
-pub use spec::{TimingSpec, TimingValue, TIMING_KEYS};
+pub use spec::{ParamValue, Spec, TimingSpec, TIMING_KEYS};
 pub use stats::DeviceStats;
 pub use timing::{ActTimings, SpeedBin, TimingParams};
 

@@ -1,22 +1,30 @@
-//! Timing presets and the `TimingSpec` string grammar.
+//! The `name(key=val,...)` spec grammar every configuration axis shares,
+//! and the timing axis's [`TimingSpec`].
 //!
-//! The paper evaluates ChargeCache on exactly one device — DDR3-1600
-//! 11-11-11 (Table 1) — but the mechanism applies to any DDR-derived
-//! interface (Section 7.2), and its payoff shifts as the baseline gets
-//! faster or slower. A [`TimingSpec`] selects the device: a JEDEC
-//! speed-bin preset name plus optional per-parameter overrides, with a
-//! string grammar mirroring the mechanism layer's `MechanismSpec`:
+//! The simulator names each axis of the paper's design space — the
+//! ChargeCache mechanism and its knobs, the DDR timing it shortens, the
+//! device family — with a [`Spec`]: a name plus typed key/value
+//! parameters, parsed and printed by the one grammar below.
 //!
 //! ```text
-//! spec     := preset | preset "(" params ")"
+//! spec     := name | name "(" params ")"
 //! params   := param ("," param)*
 //! param    := key "=" value
-//! value    := int | float                # cycles, or nanoseconds for tck
+//! value    := bool | int | float | duration | token
+//! duration := float "ms"            # e.g. 1ms, 2.5ms
 //! ```
 //!
-//! Preset names and keys match `[A-Za-z_][A-Za-z0-9_.+-]*`; whitespace
-//! around tokens is ignored. [`TimingSpec`] round-trips:
-//! `spec.to_string().parse()` reproduces the spec exactly.
+//! Names, keys and bare tokens match `[A-Za-z_][A-Za-z0-9_.+-]*`;
+//! whitespace around tokens is ignored. Every spec round-trips:
+//! `spec.to_string().parse()` reproduces it exactly. Each kind of spec is
+//! a thin wrapper over [`Spec`] whose parser accepts only the value shapes
+//! its resolver can use:
+//!
+//! | kind | accepted values | default | name resolves through |
+//! |------|-----------------|---------|-----------------------|
+//! | `MechanismSpec` (crate `chargecache`) | all | — | the mechanism registry |
+//! | [`TimingSpec`] | int, float | `ddr3-1600` | [`SpeedBin::ALL`] |
+//! | [`FamilySpec`](crate::family::FamilySpec) | int, token, bool | `ddr3` | the built-in family table |
 //!
 //! # Example
 //!
@@ -35,74 +43,69 @@
 //! assert_eq!((t.tcl, t.trcd, t.trp), (14, 13, 14));
 //! assert_eq!(spec.to_string(), "ddr3-2133(trcd=13)");
 //!
+//! // Cycle counts are numbers: other value shapes fail to parse.
+//! assert!("ddr3-1600(trcd=abc)".parse::<TimingSpec>().is_err());
+//!
 //! // Incoherent parameter sets are rejected, not simulated.
 //! assert!("ddr3-1600(tras=50)".parse::<TimingSpec>().unwrap().resolve().is_err());
 //! assert!("ddr9-9999".parse::<TimingSpec>().unwrap().resolve().is_err());
 //! ```
 
 use std::fmt;
+use std::ops::{Deref, DerefMut};
 use std::str::FromStr;
 
 use crate::timing::{SpeedBin, TimingParams};
 
-/// One override value of a [`TimingSpec`]: a cycle count or (for `tck`)
-/// a nanosecond figure.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum TimingValue {
-    /// An unsigned integer (cycle-count fields).
-    Int(u32),
-    /// A float (always displayed with a decimal point; the `tck` field).
+// ---------------------------------------------------------------------------
+// Parameter values
+// ---------------------------------------------------------------------------
+
+/// One typed parameter value of a [`Spec`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum ParamValue {
+    /// `true` / `false`.
+    Bool(bool),
+    /// A signed integer (no decimal point).
+    Int(i64),
+    /// A float (always displayed with a decimal point or exponent).
     Float(f64),
+    /// A duration in milliseconds (`1ms`, `2.5ms`).
+    DurationMs(f64),
+    /// A bare token (e.g. `invalidation=exact`).
+    Str(String),
 }
 
-impl TimingValue {
-    /// The value as a float (ints widen losslessly).
-    pub fn as_f64(self) -> f64 {
+impl ParamValue {
+    /// The value's shape as a kind's parser names it: `bool`, `int`,
+    /// `float`, `duration` or `token`.
+    pub fn shape(&self) -> &'static str {
         match self {
-            TimingValue::Int(i) => f64::from(i),
-            TimingValue::Float(x) => x,
+            ParamValue::Bool(_) => "bool",
+            ParamValue::Int(_) => "int",
+            ParamValue::Float(_) => "float",
+            ParamValue::DurationMs(_) => "duration",
+            ParamValue::Str(_) => "token",
         }
     }
 }
 
-impl fmt::Display for TimingValue {
+impl fmt::Display for ParamValue {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TimingValue::Int(i) => write!(f, "{i}"),
-            TimingValue::Float(x) => {
+            ParamValue::Bool(b) => write!(f, "{b}"),
+            ParamValue::Int(i) => write!(f, "{i}"),
+            ParamValue::Float(x) => {
                 let s = format!("{x}");
-                if s.contains('.') || s.contains('e') {
+                if s.contains('.') || s.contains('e') || s.contains("inf") || s.contains("NaN") {
                     f.write_str(&s)
                 } else {
                     write!(f, "{s}.0")
                 }
             }
+            ParamValue::DurationMs(x) => write!(f, "{x}ms"),
+            ParamValue::Str(s) => f.write_str(s),
         }
-    }
-}
-
-impl FromStr for TimingValue {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, String> {
-        let s = s.trim();
-        if s.is_empty() {
-            return Err("empty parameter value".into());
-        }
-        // Integers first, so "13" round-trips as Int; anything with a
-        // decimal point or exponent becomes Float.
-        if let Ok(i) = s.parse::<u32>() {
-            return Ok(TimingValue::Int(i));
-        }
-        if s.starts_with(|c: char| c.is_ascii_digit() || matches!(c, '-' | '+' | '.')) {
-            if let Ok(x) = s.parse::<f64>() {
-                if !x.is_finite() {
-                    return Err(format!("non-finite value {s:?}"));
-                }
-                return Ok(TimingValue::Float(x));
-            }
-        }
-        Err(format!("unparsable timing value {s:?}"))
     }
 }
 
@@ -116,17 +119,271 @@ fn is_token(s: &str) -> bool {
     chars.all(|c| c.is_ascii_alphanumeric() || matches!(c, '_' | '.' | '+' | '-'))
 }
 
-/// A DRAM timing selection: a preset name plus typed overrides.
-///
-/// Overrides keep insertion order, so [`fmt::Display`] output is
-/// deterministic; only *explicitly set* overrides are stored — the
-/// preset supplies every other field at resolution time. Parse with
-/// [`FromStr`] (`"ddr3-1866(trcd=12,tfaw=26)".parse()`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TimingSpec {
-    preset: String,
-    params: Vec<(String, TimingValue)>,
+impl FromStr for ParamValue {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        let s = s.trim();
+        if s.is_empty() {
+            return Err("empty parameter value".into());
+        }
+        match s {
+            "true" => return Ok(ParamValue::Bool(true)),
+            "false" => return Ok(ParamValue::Bool(false)),
+            _ => {}
+        }
+        // Only tokens that *start* numerically are candidates for the
+        // numeric types; word-shaped tokens `f64` happens to accept
+        // ("inf", "nan", "infms") stay `Str`, so Display → FromStr is
+        // the identity on every accepted value.
+        let numeric_shaped =
+            s.starts_with(|c: char| c.is_ascii_digit() || matches!(c, '-' | '+' | '.'));
+        if numeric_shaped {
+            if let Some(ms) = s.strip_suffix("ms") {
+                if let Ok(x) = ms.parse::<f64>() {
+                    if !x.is_finite() {
+                        return Err(format!("non-finite duration {s:?}"));
+                    }
+                    return Ok(ParamValue::DurationMs(x));
+                }
+            }
+            if let Ok(i) = s.parse::<i64>() {
+                return Ok(ParamValue::Int(i));
+            }
+            if let Ok(x) = s.parse::<f64>() {
+                if !x.is_finite() {
+                    return Err(format!("non-finite number {s:?}"));
+                }
+                return Ok(ParamValue::Float(x));
+            }
+        }
+        if is_token(s) {
+            return Ok(ParamValue::Str(s.to_string()));
+        }
+        Err(format!("unparsable parameter value {s:?}"))
+    }
 }
+
+// ---------------------------------------------------------------------------
+// Spec
+// ---------------------------------------------------------------------------
+
+/// A name plus typed parameters: the value every spec kind wraps.
+///
+/// Parameters keep insertion order, so [`fmt::Display`] output is
+/// deterministic; only *explicitly set* parameters are stored — whatever
+/// the name resolves to supplies the defaults.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Spec {
+    name: String,
+    params: Vec<(String, ParamValue)>,
+}
+
+impl Spec {
+    /// A spec with no parameters. Unknown (but well-formed) names are
+    /// accepted here and rejected when the spec is resolved.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` is not a valid token
+    /// (`[A-Za-z_][A-Za-z0-9_.+-]*`).
+    pub fn new(name: impl Into<String>) -> Self {
+        let name = name.into();
+        assert!(is_token(&name), "invalid spec name {name:?}");
+        Self {
+            name,
+            params: Vec::new(),
+        }
+    }
+
+    /// Builder-style parameter setter.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` is not a valid token.
+    #[must_use]
+    pub fn with(mut self, key: impl Into<String>, value: ParamValue) -> Self {
+        self.set(key, value);
+        self
+    }
+
+    /// Sets (or replaces) one parameter.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` is not a valid token.
+    pub fn set(&mut self, key: impl Into<String>, value: ParamValue) {
+        let key = key.into();
+        assert!(is_token(&key), "invalid parameter key {key:?}");
+        match self.params.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, v)) => *v = value,
+            None => self.params.push((key, value)),
+        }
+    }
+
+    /// The name (the lookup key of whatever the spec resolves through).
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// The explicitly set parameters, in insertion order.
+    pub fn params(&self) -> &[(String, ParamValue)] {
+        &self.params
+    }
+
+    /// One parameter, if explicitly set.
+    pub fn get(&self, key: &str) -> Option<&ParamValue> {
+        self.params.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+
+    /// A positive integer parameter with a default.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message if the value is present but not a non-negative
+    /// integer.
+    pub fn usize_param(&self, key: &str, default: usize) -> Result<usize, String> {
+        match self.get(key) {
+            None => Ok(default),
+            Some(ParamValue::Int(i)) if *i >= 0 => Ok(*i as usize),
+            Some(v) => Err(format!("{key} must be a non-negative integer, got {v}")),
+        }
+    }
+
+    /// A float parameter with a default (accepts ints, floats and
+    /// durations).
+    ///
+    /// # Errors
+    ///
+    /// Returns a message if the value is present but not numeric.
+    pub fn f64_param(&self, key: &str, default: f64) -> Result<f64, String> {
+        match self.get(key) {
+            None => Ok(default),
+            Some(ParamValue::Int(i)) => Ok(*i as f64),
+            Some(ParamValue::Float(x)) | Some(ParamValue::DurationMs(x)) => Ok(*x),
+            Some(v) => Err(format!("{key} must be numeric, got {v}")),
+        }
+    }
+
+    /// A duration parameter in milliseconds with a default (bare numbers
+    /// are read as milliseconds).
+    ///
+    /// # Errors
+    ///
+    /// Returns a message if the value is present but not numeric.
+    pub fn duration_ms_param(&self, key: &str, default: f64) -> Result<f64, String> {
+        self.f64_param(key, default)
+    }
+
+    /// A boolean parameter with a default.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message if the value is present but not a boolean.
+    pub fn bool_param(&self, key: &str, default: bool) -> Result<bool, String> {
+        match self.get(key) {
+            None => Ok(default),
+            Some(ParamValue::Bool(b)) => Ok(*b),
+            Some(v) => Err(format!("{key} must be true or false, got {v}")),
+        }
+    }
+
+    /// A token parameter with a default.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message if the value is present but not a bare token.
+    pub fn str_param(&self, key: &str, default: &str) -> Result<String, String> {
+        match self.get(key) {
+            None => Ok(default.to_string()),
+            Some(ParamValue::Str(s)) => Ok(s.clone()),
+            Some(v) => Err(format!("{key} must be a token, got {v}")),
+        }
+    }
+
+    /// Parses the grammar, accepting only values whose
+    /// [`ParamValue::shape`] is in `shapes`. `kind` names the spec kind in
+    /// error messages. Each spec kind's `FromStr` delegates here.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message for malformed text, a duplicate key or a value
+    /// of a shape the kind does not accept.
+    pub fn parse(s: &str, kind: &str, shapes: &[&str]) -> Result<Spec, String> {
+        let s = s.trim();
+        let (name, params_src) = match s.find('(') {
+            None => (s, None),
+            Some(open) => {
+                let Some(body) = s[open + 1..].strip_suffix(')') else {
+                    return Err(format!("{kind} spec {s:?} is missing its closing ')'"));
+                };
+                (&s[..open], Some(body))
+            }
+        };
+        let name = name.trim();
+        if !is_token(name) {
+            return Err(format!("invalid {kind} name {name:?}"));
+        }
+        let mut spec = Spec::new(name);
+        let body = params_src.map_or("", str::trim);
+        if body.is_empty() {
+            return Ok(spec);
+        }
+        for part in body.split(',') {
+            let Some((k, v)) = part.split_once('=') else {
+                return Err(format!("{kind} parameter {part:?} is not key=value"));
+            };
+            let k = k.trim();
+            if !is_token(k) {
+                return Err(format!("invalid {kind} key {k:?}"));
+            }
+            if spec.get(k).is_some() {
+                return Err(format!("duplicate {kind} parameter {k:?}"));
+            }
+            let v: ParamValue = v.parse()?;
+            if !shapes.contains(&v.shape()) {
+                return Err(format!(
+                    "{kind} parameter {k}={v} must be {}, not {}",
+                    shapes.join(" or "),
+                    v.shape()
+                ));
+            }
+            spec.set(k, v);
+        }
+        Ok(spec)
+    }
+}
+
+impl fmt::Display for Spec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.name)?;
+        if self.params.is_empty() {
+            return Ok(());
+        }
+        f.write_str("(")?;
+        for (i, (k, v)) in self.params.iter().enumerate() {
+            if i > 0 {
+                f.write_str(",")?;
+            }
+            write!(f, "{k}={v}")?;
+        }
+        f.write_str(")")
+    }
+}
+
+// ---------------------------------------------------------------------------
+// TimingSpec
+// ---------------------------------------------------------------------------
+
+/// A DRAM timing selection: a speed-bin preset name plus overrides —
+/// cycle counts, or nanoseconds for `tck`.
+///
+/// Only *explicitly set* overrides are stored; the preset supplies every
+/// other field at resolution time. Parse with [`FromStr`]
+/// (`"ddr3-1866(trcd=12,tfaw=26)".parse()`); the [`Spec`] accessors are
+/// reachable through `Deref`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TimingSpec(Spec);
 
 /// Override keys accepted by [`TimingSpec::resolve`]: every
 /// [`TimingParams`] cycle field plus `tck` (the clock period in ns).
@@ -136,65 +393,14 @@ pub const TIMING_KEYS: &[&str] = &[
 ];
 
 impl TimingSpec {
-    /// A spec with no overrides.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `preset` is not a valid token
-    /// (`[A-Za-z_][A-Za-z0-9_.+-]*`). Unknown (but well-formed) preset
-    /// names are accepted here and rejected by [`TimingSpec::resolve`].
+    /// A spec with no overrides (see [`Spec::new`]).
     pub fn new(preset: impl Into<String>) -> Self {
-        let preset = preset.into();
-        assert!(is_token(&preset), "invalid timing preset name {preset:?}");
-        Self {
-            preset,
-            params: Vec::new(),
-        }
+        Self(Spec::new(preset))
     }
 
     /// A spec for a named speed bin (no overrides).
     pub fn for_bin(bin: SpeedBin) -> Self {
         Self::new(bin.name())
-    }
-
-    /// Builder-style override setter.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key` is not a valid token.
-    #[must_use]
-    pub fn with(mut self, key: impl Into<String>, value: TimingValue) -> Self {
-        self.set(key, value);
-        self
-    }
-
-    /// Sets (or replaces) one override.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key` is not a valid token.
-    pub fn set(&mut self, key: impl Into<String>, value: TimingValue) {
-        let key = key.into();
-        assert!(is_token(&key), "invalid timing key {key:?}");
-        match self.params.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, v)) => *v = value,
-            None => self.params.push((key, value)),
-        }
-    }
-
-    /// The preset name (speed-bin lookup key).
-    pub fn preset(&self) -> &str {
-        &self.preset
-    }
-
-    /// The explicitly set overrides, in insertion order.
-    pub fn params(&self) -> &[(String, TimingValue)] {
-        &self.params
-    }
-
-    /// One override, if explicitly set.
-    pub fn get(&self, key: &str) -> Option<TimingValue> {
-        self.params.iter().find(|(k, _)| k == key).map(|&(_, v)| v)
     }
 
     /// True when this spec resolves to the same parameter set as the
@@ -206,9 +412,6 @@ impl TimingSpec {
     /// behaves exactly like the bare default, while any spec that fails
     /// to resolve is by definition not the default.
     pub fn is_default(&self) -> bool {
-        if self.preset == SpeedBin::Ddr3_1600.name() && self.params.is_empty() {
-            return true;
-        }
         self.resolve().is_ok_and(|t| t == TimingParams::ddr3_1600())
     }
 
@@ -219,15 +422,15 @@ impl TimingSpec {
     /// # Errors
     ///
     /// Returns a message if the preset name is unknown, an override key
-    /// is not one of [`TIMING_KEYS`], a cycle field is given a
-    /// non-integer value, or the resulting parameter set is incoherent
+    /// is not one of [`TIMING_KEYS`], a cycle field is given anything but
+    /// a `u32` integer, or the resulting parameter set is incoherent
     /// (e.g. `tras` exceeding `trc`, a zero `tck`).
     pub fn resolve(&self) -> Result<TimingParams, String> {
-        let Some(bin) = SpeedBin::from_name(&self.preset) else {
+        let Some(bin) = SpeedBin::from_name(self.name()) else {
             let known: Vec<&str> = SpeedBin::ALL.iter().map(|b| b.name()).collect();
             return Err(format!(
                 "unknown timing preset {:?} (known: {})",
-                self.preset,
+                self.name(),
                 known.join(", ")
             ));
         };
@@ -236,33 +439,32 @@ impl TimingSpec {
         // from `tccd`, `trrd_l`/`trrd_s` from `trrd`, `trfcpb` from
         // `trfc`) unless explicitly overridden, so a plain `tccd=6`
         // override keeps its historical meaning of "all column spacing".
-        let explicit = |k: &str| self.params.iter().any(|(key, _)| key == k);
-        for (key, value) in &self.params {
-            let cycles = |v: TimingValue| -> Result<u32, String> {
-                match v {
-                    TimingValue::Int(i) => Ok(i),
-                    TimingValue::Float(x) => {
-                        Err(format!("{key} must be an integer cycle count, got {x}"))
-                    }
+        let explicit = |k: &str| self.get(k).is_some();
+        for (key, value) in self.params() {
+            let cycles = || {
+                match value {
+                    ParamValue::Int(i) => u32::try_from(*i).ok(),
+                    _ => None,
                 }
+                .ok_or_else(|| format!("{key} must be an integer cycle count, got {value}"))
             };
             match key.as_str() {
                 "tck" => {
-                    let ns = value.as_f64();
+                    let ns = self.f64_param(key, t.tck_ns)?;
                     if !(ns.is_finite() && ns > 0.0) {
                         return Err(format!("tck must be a positive period in ns, got {value}"));
                     }
                     t.tck_ns = ns;
                 }
-                "trcd" => t.trcd = cycles(*value)?,
-                "tcl" => t.tcl = cycles(*value)?,
-                "tcwl" => t.tcwl = cycles(*value)?,
-                "trp" => t.trp = cycles(*value)?,
-                "tras" => t.tras = cycles(*value)?,
-                "trc" => t.trc = cycles(*value)?,
-                "tbl" => t.tbl = cycles(*value)?,
+                "trcd" => t.trcd = cycles()?,
+                "tcl" => t.tcl = cycles()?,
+                "tcwl" => t.tcwl = cycles()?,
+                "trp" => t.trp = cycles()?,
+                "tras" => t.tras = cycles()?,
+                "trc" => t.trc = cycles()?,
+                "tbl" => t.tbl = cycles()?,
                 "tccd" => {
-                    t.tccd = cycles(*value)?;
+                    t.tccd = cycles()?;
                     if !explicit("tccd_l") {
                         t.tccd_l = t.tccd;
                     }
@@ -270,11 +472,11 @@ impl TimingSpec {
                         t.tccd_s = t.tccd;
                     }
                 }
-                "trtp" => t.trtp = cycles(*value)?,
-                "twr" => t.twr = cycles(*value)?,
-                "twtr" => t.twtr = cycles(*value)?,
+                "trtp" => t.trtp = cycles()?,
+                "twr" => t.twr = cycles()?,
+                "twtr" => t.twtr = cycles()?,
                 "trrd" => {
-                    t.trrd = cycles(*value)?;
+                    t.trrd = cycles()?;
                     if !explicit("trrd_l") {
                         t.trrd_l = t.trrd;
                     }
@@ -282,20 +484,20 @@ impl TimingSpec {
                         t.trrd_s = t.trrd;
                     }
                 }
-                "tfaw" => t.tfaw = cycles(*value)?,
+                "tfaw" => t.tfaw = cycles()?,
                 "trfc" => {
-                    t.trfc = cycles(*value)?;
+                    t.trfc = cycles()?;
                     if !explicit("trfcpb") {
                         t.trfcpb = t.trfc;
                     }
                 }
-                "trefi" => t.trefi = cycles(*value)?,
-                "trtrs" => t.trtrs = cycles(*value)?,
-                "tccd_l" => t.tccd_l = cycles(*value)?,
-                "tccd_s" => t.tccd_s = cycles(*value)?,
-                "trrd_l" => t.trrd_l = cycles(*value)?,
-                "trrd_s" => t.trrd_s = cycles(*value)?,
-                "trfcpb" => t.trfcpb = cycles(*value)?,
+                "trefi" => t.trefi = cycles()?,
+                "trtrs" => t.trtrs = cycles()?,
+                "tccd_l" => t.tccd_l = cycles()?,
+                "tccd_s" => t.tccd_s = cycles()?,
+                "trrd_l" => t.trrd_l = cycles()?,
+                "trrd_s" => t.trrd_s = cycles()?,
+                "trfcpb" => t.trfcpb = cycles()?,
                 other => {
                     return Err(format!(
                         "unknown timing parameter {other:?} (known: {})",
@@ -326,20 +528,22 @@ impl Default for TimingSpec {
     }
 }
 
+impl Deref for TimingSpec {
+    type Target = Spec;
+    fn deref(&self) -> &Spec {
+        &self.0
+    }
+}
+
+impl DerefMut for TimingSpec {
+    fn deref_mut(&mut self) -> &mut Spec {
+        &mut self.0
+    }
+}
+
 impl fmt::Display for TimingSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.preset)?;
-        if self.params.is_empty() {
-            return Ok(());
-        }
-        f.write_str("(")?;
-        for (i, (k, v)) in self.params.iter().enumerate() {
-            if i > 0 {
-                f.write_str(",")?;
-            }
-            write!(f, "{k}={v}")?;
-        }
-        f.write_str(")")
+        self.0.fmt(f)
     }
 }
 
@@ -347,40 +551,7 @@ impl FromStr for TimingSpec {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, String> {
-        let s = s.trim();
-        let (preset, params_src) = match s.find('(') {
-            None => (s, None),
-            Some(open) => {
-                let Some(body) = s[open + 1..].strip_suffix(')') else {
-                    return Err(format!("timing spec {s:?} is missing its closing ')'"));
-                };
-                (&s[..open], Some(body))
-            }
-        };
-        let preset = preset.trim();
-        if !is_token(preset) {
-            return Err(format!("invalid timing preset name {preset:?}"));
-        }
-        let mut spec = TimingSpec::new(preset);
-        if let Some(body) = params_src {
-            let body = body.trim();
-            if !body.is_empty() {
-                for part in body.split(',') {
-                    let Some((k, v)) = part.split_once('=') else {
-                        return Err(format!("timing parameter {part:?} is not key=value"));
-                    };
-                    let k = k.trim();
-                    if !is_token(k) {
-                        return Err(format!("invalid timing key {k:?}"));
-                    }
-                    if spec.get(k).is_some() {
-                        return Err(format!("duplicate timing parameter {k:?}"));
-                    }
-                    spec.set(k, v.parse::<TimingValue>()?);
-                }
-            }
-        }
-        Ok(spec)
+        Spec::parse(s, "timing", &["int", "float"]).map(Self)
     }
 }
 
@@ -460,11 +631,8 @@ mod tests {
 
     #[test]
     fn float_values_keep_their_type_through_display() {
-        assert_eq!(TimingValue::Float(2.0).to_string(), "2.0");
-        assert_eq!(
-            "2.0".parse::<TimingValue>().unwrap(),
-            TimingValue::Float(2.0)
-        );
-        assert_eq!("2".parse::<TimingValue>().unwrap(), TimingValue::Int(2));
+        assert_eq!(ParamValue::Float(2.0).to_string(), "2.0");
+        assert_eq!("2.0".parse::<ParamValue>().unwrap(), ParamValue::Float(2.0));
+        assert_eq!("2".parse::<ParamValue>().unwrap(), ParamValue::Int(2));
     }
 }

@@ -18,12 +18,18 @@
 //! differently (a Baseline cell shared across a capacity axis), and each
 //! client gets its own labels back.
 //!
-//! Lock ordering: a connection thread holds its client's write lock
-//! while mutating `State` (so `accepted` always precedes the job's
-//! first `cell`); workers take the state lock, collect the responses to
-//! send, release it, and only then take client write locks. No thread
-//! ever takes the state lock while holding it, so a slow client can
-//! delay its own stream but never the daemon.
+//! Response ordering: each connection has one `Out`, an ordered queue of
+//! pending responses in front of its socket. A response that reports a
+//! state change (`accepted`, `cell`, `done`, `aborted`, `cancelled`) is
+//! queued *while the state lock is held*, so a client's queue order is
+//! the order of the state changes behind it: `accepted` precedes the
+//! job's first `cell`, and no `cell` follows its job's `done`,
+//! `cancelled` or `aborted`. After releasing the state lock, the thread
+//! that queued drains the queue under the socket's write lock; nothing
+//! else writes to a socket. Locks nest only as state → queue and
+//! write → queue, and no socket write happens under the state lock, so
+//! a slow client delays only the threads writing to it, never the
+//! daemon's state.
 //!
 //! # Shutdown
 //!
@@ -112,8 +118,9 @@ struct Shared {
 
 #[derive(Default)]
 struct State {
-    /// Distinct cell keys awaiting a worker, FIFO. May contain keys
-    /// whose entry a cancel already removed; workers skip those.
+    /// Cell keys awaiting a worker, FIFO. May contain keys whose entry
+    /// a cancel already removed, or a second copy of a key re-queued
+    /// after such a cancel; workers skip keys with no queued entry.
     queue: VecDeque<u128>,
     /// Every queued or running cell, by content key.
     cells: FastHashMap<u128, CellEntry>,
@@ -148,16 +155,34 @@ struct JobState {
     failed: usize,
 }
 
-/// One client's serialized response stream.
+/// One client's ordered response stream (see the module docs).
 struct Out {
+    pending: Mutex<Vec<Json>>,
     w: Mutex<UnixStream>,
 }
 
 impl Out {
-    fn send(&self, j: &Json) {
-        if let Ok(mut w) = self.w.lock() {
-            let _ = writeln!(w, "{j}");
-        }
+    /// Queues a response; callers reporting a state change hold the
+    /// state lock here, and every caller flushes afterwards.
+    fn push(&self, j: Json) {
+        self.pending.lock().expect("client queue poisoned").push(j);
+    }
+
+    /// Writes every queued response. The queue is taken under the write
+    /// lock, so concurrent flushers write their batches in queue order.
+    /// The batch goes out in one write: a frame formatted straight onto
+    /// the socket would cost a syscall per JSON fragment.
+    fn flush(&self) {
+        let Ok(mut w) = self.w.lock() else { return };
+        let batch = std::mem::take(&mut *self.pending.lock().expect("client queue poisoned"));
+        let text: String = batch.iter().map(|j| format!("{j}\n")).collect();
+        let _ = w.write_all(text.as_bytes());
+    }
+
+    /// Queues and writes a response that reports no state change.
+    fn send(&self, j: Json) {
+        self.push(j);
+        self.flush();
     }
 }
 
@@ -257,8 +282,10 @@ fn worker(shared: &Shared) {
             loop {
                 let mut picked = None;
                 while let Some(k) = st.queue.pop_front() {
-                    // Skip keys a cancel orphaned after queueing.
-                    if st.cells.contains_key(&k) {
+                    // Skip keys a cancel orphaned after queueing, and
+                    // the stale copy of a key re-queued after such a
+                    // cancel once another worker has taken it.
+                    if st.cells.get(&k).is_some_and(|e| !e.running) {
                         picked = Some(k);
                         break;
                     }
@@ -281,12 +308,11 @@ fn worker(shared: &Shared) {
         // every byte of the streamed cell) is unchanged by it.
         plan.params.checkpoint_interval = shared.checkpoint_interval;
         let outcome = plan.run(shared.disk.as_deref());
-        let mut sends: Vec<(Arc<Out>, Json)> = Vec::new();
+        let mut outs: Vec<Arc<Out>> = Vec::new();
         {
             let mut st = shared.state.lock().expect("daemon state poisoned");
             st.running -= 1;
             let entry = st.cells.remove(&key).expect("running cell entry present");
-            let mut finished: Vec<String> = Vec::new();
             for sub in entry.subs {
                 let Some(job) = st.jobs.get_mut(&sub.job) else {
                     continue; // cancelled or aborted mid-run
@@ -297,37 +323,29 @@ fn worker(shared: &Shared) {
                     job.failed += 1;
                 }
                 let cell = sub.plan.into_cell(cell_outcome);
-                sends.push((
-                    Arc::clone(&sub.out),
-                    Json::Obj(vec![
-                        ("type".into(), Json::str("cell")),
-                        ("job".into(), Json::str(&sub.job)),
-                        ("index".into(), Json::uint(sub.index as u64)),
-                        ("cell".into(), cell.to_json()),
-                    ]),
-                ));
+                sub.out.push(Json::Obj(vec![
+                    ("type".into(), Json::str("cell")),
+                    ("job".into(), Json::str(&sub.job)),
+                    ("index".into(), Json::uint(sub.index as u64)),
+                    ("cell".into(), cell.to_json()),
+                ]));
                 if job.completed == job.total {
-                    sends.push((
-                        Arc::clone(&sub.out),
-                        Json::Obj(vec![
-                            ("type".into(), Json::str("done")),
-                            ("job".into(), Json::str(&sub.job)),
-                            ("cells".into(), Json::uint(job.total as u64)),
-                            ("failed".into(), Json::uint(job.failed as u64)),
-                        ]),
-                    ));
-                    finished.push(sub.job.clone());
+                    sub.out.push(Json::Obj(vec![
+                        ("type".into(), Json::str("done")),
+                        ("job".into(), Json::str(&sub.job)),
+                        ("cells".into(), Json::uint(job.total as u64)),
+                        ("failed".into(), Json::uint(job.failed as u64)),
+                    ]));
+                    st.jobs.remove(&sub.job);
                 }
-            }
-            for id in finished {
-                st.jobs.remove(&id);
+                outs.push(sub.out);
             }
             if st.shutting_down && st.running == 0 && st.queue.is_empty() {
                 shared.drained.notify_all();
             }
         }
-        for (out, j) in sends {
-            out.send(&j);
+        for out in outs {
+            out.flush();
         }
     }
 }
@@ -337,6 +355,7 @@ fn handle_client(shared: &Arc<Shared>, stream: UnixStream) {
         return;
     };
     let out = Arc::new(Out {
+        pending: Mutex::new(Vec::new()),
         w: Mutex::new(write_half),
     });
     let client_id = {
@@ -350,7 +369,7 @@ fn handle_client(shared: &Arc<Shared>, stream: UnixStream) {
         match read_frame(&mut reader) {
             Ok(None) | Err(_) => break,
             Ok(Some(Frame::Oversized { discarded })) => {
-                out.send(&error_json(
+                out.send(error_json(
                     ErrorCode::Oversized,
                     format!(
                         "request of {discarded} bytes exceeds the {} byte limit",
@@ -363,14 +382,14 @@ fn handle_client(shared: &Arc<Shared>, stream: UnixStream) {
                     continue;
                 }
                 match parse_request(&line) {
-                    Err((code, msg)) => out.send(&error_json(code, msg)),
-                    Ok(Request::Status) => out.send(&status_json(shared)),
+                    Err((code, msg)) => out.send(error_json(code, msg)),
+                    Ok(Request::Status) => out.send(status_json(shared)),
                     Ok(Request::Gc(budget)) => match &shared.disk {
-                        None => out.send(&error_json(
+                        None => out.send(error_json(
                             ErrorCode::NoCache,
                             "daemon was started without a cache directory",
                         )),
-                        Some(d) => out.send(&gc_json(d.gc(budget))),
+                        Some(d) => out.send(gc_json(d.gc(budget))),
                     },
                     Ok(Request::Cancel(id)) => cancel(shared, &out, &my_jobs, &id),
                     Ok(Request::Submit(spec)) => {
@@ -404,25 +423,32 @@ fn submit(
         .and_then(|e| e.plan().map_err(|e| e.to_string()))
     {
         Ok(p) => p,
-        Err(e) => {
-            out.send(&error_json(ErrorCode::BadSpec, e));
-            return;
-        }
+        Err(e) => return out.send(error_json(ErrorCode::BadSpec, e)),
     };
-    // Hold the client's write lock across the state mutation so the
-    // `accepted` line is on the wire before any worker can stream this
-    // job's first cell (workers only send after releasing the state
-    // lock, which they can't take until we're done).
-    let mut w = out.w.lock().expect("client stream poisoned");
-    let mut st = shared.state.lock().expect("daemon state poisoned");
+    {
+        let mut st = shared.state.lock().expect("daemon state poisoned");
+        match enqueue_job(shared, &mut st, out, client_id, &plan) {
+            Ok(job_id) => {
+                out.push(accepted_json(&job_id, &plan));
+                my_jobs.push(job_id);
+            }
+            Err(e) => out.push(e),
+        }
+    }
+    out.flush();
+}
+
+/// Admits a planned sweep as a new job streaming to `out`, or returns
+/// the typed rejection to send instead.
+fn enqueue_job(
+    shared: &Shared,
+    st: &mut State,
+    out: &Arc<Out>,
+    client_id: u64,
+    plan: &SweepPlan,
+) -> Result<String, Json> {
     if st.shutting_down {
-        drop(st);
-        let _ = writeln!(
-            w,
-            "{}",
-            error_json(ErrorCode::ShuttingDown, "daemon is draining")
-        );
-        return;
+        return Err(error_json(ErrorCode::ShuttingDown, "daemon is draining"));
     }
     let outstanding: usize = st
         .jobs
@@ -436,9 +462,7 @@ fn submit(
             plan.cells.len(),
             shared.client_quota
         );
-        drop(st);
-        let _ = writeln!(w, "{}", error_json(ErrorCode::ClientQuota, msg));
-        return;
+        return Err(error_json(ErrorCode::ClientQuota, msg));
     }
     let mut new_keys: Vec<u128> = Vec::new();
     for c in &plan.cells {
@@ -454,9 +478,7 @@ fn submit(
             new_keys.len(),
             shared.queue_depth
         );
-        drop(st);
-        let _ = writeln!(w, "{}", error_json(ErrorCode::QueueFull, msg));
-        return;
+        return Err(error_json(ErrorCode::QueueFull, msg));
     }
     st.next_job += 1;
     let job_id = format!("j{}", st.next_job);
@@ -493,35 +515,31 @@ fn submit(
         }
     }
     shared.work.notify_all();
-    my_jobs.push(job_id.clone());
-    let accepted = accepted_json(&job_id, &plan);
-    drop(st);
-    let _ = writeln!(w, "{accepted}");
+    Ok(job_id)
 }
 
 fn cancel(shared: &Arc<Shared>, out: &Arc<Out>, my_jobs: &[String], id: &str) {
     if !my_jobs.iter().any(|j| j == id) {
-        out.send(&error_json(
+        return out.send(error_json(
             ErrorCode::UnknownJob,
             format!("job {id:?} was not submitted on this connection"),
         ));
-        return;
     }
-    let dropped = {
+    {
         let mut st = shared.state.lock().expect("daemon state poisoned");
-        cancel_job_locked(&mut st, id)
-    };
-    match dropped {
-        Some(n) => out.send(&Json::Obj(vec![
-            ("type".into(), Json::str("cancelled")),
-            ("job".into(), Json::str(id)),
-            ("dropped".into(), Json::uint(n as u64)),
-        ])),
-        None => out.send(&error_json(
-            ErrorCode::UnknownJob,
-            format!("job {id:?} already finished"),
-        )),
+        out.push(match cancel_job_locked(&mut st, id) {
+            Some(n) => Json::Obj(vec![
+                ("type".into(), Json::str("cancelled")),
+                ("job".into(), Json::str(id)),
+                ("dropped".into(), Json::uint(n as u64)),
+            ]),
+            None => error_json(
+                ErrorCode::UnknownJob,
+                format!("job {id:?} already finished"),
+            ),
+        });
     }
+    out.flush();
 }
 
 /// Removes a job and its subscriptions; queued cells with no remaining
@@ -545,45 +563,37 @@ fn cancel_job_locked(st: &mut State, id: &str) -> Option<usize> {
 }
 
 fn shutdown(shared: &Arc<Shared>, out: &Arc<Out>) {
-    let mut aborted: Vec<(Arc<Out>, Json)> = Vec::new();
+    let mut aborted: Vec<Arc<Out>> = Vec::new();
     {
         let mut st = shared.state.lock().expect("daemon state poisoned");
         st.shutting_down = true;
         // Drop every queued (not yet running) cell; in-flight cells
         // drain normally and their jobs stream to completion.
-        let queued: Vec<u128> = st.queue.drain(..).collect();
-        let mut dropped_per_job: FastHashMap<String, usize> = FastHashMap::default();
-        for k in queued {
-            let Some(e) = st.cells.get(&k) else { continue };
-            if e.running {
-                continue;
-            }
-            let e = st.cells.remove(&k).expect("queued cell entry present");
+        st.queue.clear();
+        let mut dropped_per_job: FastHashMap<String, (Arc<Out>, usize)> = FastHashMap::default();
+        for (_, e) in st.cells.extract_if(|_, e| !e.running) {
             for sub in e.subs {
-                *dropped_per_job.entry(sub.job).or_default() += 1;
+                dropped_per_job.entry(sub.job).or_insert((sub.out, 0)).1 += 1;
             }
         }
-        for (id, dropped) in dropped_per_job {
-            let Some(job) = st.jobs.remove(&id) else {
-                continue;
-            };
+        for (id, (job_out, dropped)) in dropped_per_job {
             // The job's in-flight cells may still land, but with the job
-            // gone they are not streamed; one `aborted` tells the client
-            // the whole story.
-            let _ = job;
-            aborted.push((
-                Arc::clone(out),
-                Json::Obj(vec![
-                    ("type".into(), Json::str("aborted")),
-                    ("job".into(), Json::str(&id)),
-                    ("dropped".into(), Json::uint(dropped as u64)),
-                ]),
-            ));
+            // gone they are not streamed; one `aborted` on the job's own
+            // connection tells its client the whole story.
+            if st.jobs.remove(&id).is_none() {
+                continue;
+            }
+            job_out.push(Json::Obj(vec![
+                ("type".into(), Json::str("aborted")),
+                ("job".into(), Json::str(&id)),
+                ("dropped".into(), Json::uint(dropped as u64)),
+            ]));
+            aborted.push(job_out);
         }
         shared.work.notify_all();
     }
-    for (o, j) in &aborted {
-        o.send(j);
+    for o in aborted {
+        o.flush();
     }
     // Wait for the drain: running cells finish (and persist) first.
     {
@@ -592,7 +602,7 @@ fn shutdown(shared: &Arc<Shared>, out: &Arc<Out>) {
             st = shared.drained.wait(st).expect("daemon state poisoned");
         }
     }
-    out.send(&Json::Obj(vec![("type".into(), Json::str("bye"))]));
+    out.send(Json::Obj(vec![("type".into(), Json::str("bye"))]));
     shared.stop_accepting.store(true, Relaxed);
 }
 

@@ -3,17 +3,20 @@
 //! typed rejections, protocol robustness under a seeded fuzzer, and
 //! kill-and-restart durability through the `cc-simd` subprocess.
 
+use std::collections::HashMap;
 use std::fs;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Barrier, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use chargecache::MechanismSpec;
+use chargecache::{
+    registry, Baseline, LatencyMechanism, MechanismContext, MechanismFactory, MechanismSpec,
+};
 use sim::api;
 use sim::exp::ExpParams;
 use sim::json::{parse, Json};
@@ -353,6 +356,254 @@ fn protocol_fuzz_yields_typed_errors_and_never_hangs() {
     }
 
     shut_down(&socket, handle);
+}
+
+/// One raw protocol connection whose reads time out, so a frame the
+/// daemon never sends fails the test instead of hanging it.
+struct Raw {
+    writer: UnixStream,
+    reader: BufReader<UnixStream>,
+}
+
+impl Raw {
+    fn connect(socket: &PathBuf) -> Raw {
+        let stream = UnixStream::connect(socket).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(20)))
+            .expect("set read timeout");
+        Raw {
+            writer: stream.try_clone().expect("clone stream"),
+            reader: BufReader::new(stream),
+        }
+    }
+
+    fn send(&mut self, request: Vec<(&str, Json)>) {
+        let request = Json::Obj(request.into_iter().map(|(k, v)| (k.into(), v)).collect());
+        writeln!(self.writer, "{request}").expect("send request");
+    }
+
+    /// The next frame and its `type`.
+    fn recv(&mut self) -> (Json, String) {
+        let mut line = String::new();
+        let n = self
+            .reader
+            .read_line(&mut line)
+            .expect("a frame before the read timeout");
+        assert!(n > 0, "daemon closed the connection");
+        let frame = parse(&line).unwrap_or_else(|e| panic!("bad frame {line:?}: {e}"));
+        let ty = member(&frame, "type");
+        (frame, ty)
+    }
+}
+
+fn member(frame: &Json, key: &str) -> String {
+    frame
+        .get(key)
+        .and_then(Json::as_str)
+        .unwrap_or_else(|| panic!("frame {frame} has no string {key:?}"))
+        .to_string()
+}
+
+fn count(frame: &Json, key: &str) -> usize {
+    frame
+        .get(key)
+        .and_then(Json::as_num)
+        .unwrap_or_else(|| panic!("frame {frame} has no number {key:?}")) as usize
+}
+
+/// One connection's jobs, checked frame by frame against the per-job
+/// grammar `accepted cell* (done|aborted|cancelled)` with exactly one
+/// `cell` per index.
+#[derive(Default)]
+struct JobGrammar {
+    /// Job id → (indices streamed so far, terminal frame type).
+    jobs: HashMap<String, (Vec<bool>, Option<String>)>,
+}
+
+impl JobGrammar {
+    fn feed(&mut self, frame: &Json, ty: &str) {
+        let job = member(frame, "job");
+        if ty == "accepted" {
+            let fresh = vec![false; count(frame, "cells")];
+            assert!(
+                self.jobs.insert(job.clone(), (fresh, None)).is_none(),
+                "job {job} accepted twice"
+            );
+            return;
+        }
+        let (seen, end) = self
+            .jobs
+            .get_mut(&job)
+            .unwrap_or_else(|| panic!("{ty} for job {job} before its accepted"));
+        assert!(end.is_none(), "{ty} for job {job} after its {end:?}");
+        match ty {
+            "cell" => {
+                let i = count(frame, "index");
+                assert!(i < seen.len(), "job {job} streamed out-of-range cell {i}");
+                assert!(!seen[i], "job {job} streamed cell {i} twice");
+                seen[i] = true;
+            }
+            "done" => {
+                assert!(
+                    seen.iter().all(|s| *s),
+                    "job {job} reported done before streaming every cell"
+                );
+                *end = Some(ty.into());
+            }
+            "cancelled" | "aborted" => *end = Some(ty.into()),
+            other => panic!("unexpected frame type {other:?} for job {job}"),
+        }
+    }
+
+    fn open_jobs(&self) -> usize {
+        self.jobs.values().filter(|(_, end)| end.is_none()).count()
+    }
+}
+
+/// Several clients submit overlapping grids to a 4-worker daemon, two
+/// jobs in flight per connection, and cancel some jobs mid-stream. Every
+/// job's frames must follow the per-job grammar — in particular no
+/// `cell` may arrive after its job's `done` or `cancelled`.
+#[test]
+fn concurrent_jobs_each_stream_the_per_job_grammar() {
+    const CLIENTS: usize = 3;
+    const ROUNDS: usize = 40;
+    let _guard = CACHE_LOCK.lock().unwrap();
+    let (socket, handle) = start_server("grammar", |cfg| cfg.threads = 4);
+    let subjects = ["mcf", "tpch2", "bzip2", "soplex"];
+    let start = Barrier::new(CLIENTS);
+    thread::scope(|scope| {
+        for client in 0..CLIENTS {
+            let (socket, start) = (&socket, &start);
+            scope.spawn(move || {
+                let mut raw = Raw::connect(socket);
+                let mut grammar = JobGrammar::default();
+                start.wait();
+                for round in 0..ROUNDS {
+                    // Every client submits the same two overlapping
+                    // grids per round (one seed per round, so each
+                    // round has cold cells to single-flight).
+                    let params = ExpParams {
+                        insts_per_core: 500,
+                        warmup_insts: 100,
+                        seed: 9000 + round as u64,
+                        ..ExpParams::tiny()
+                    };
+                    for grid in [&subjects[..3], &subjects[1..]] {
+                        let s = spec(grid, MechanismSpec::paper_all().to_vec(), params);
+                        raw.send(vec![("type", Json::str("submit")), ("sweep", s.to_json())]);
+                    }
+                    let cancel = (client + round) % 3 == 0;
+                    let (mut accepted, mut cancel_answered) = (0, !cancel);
+                    while accepted < 2 || grammar.open_jobs() > 0 || !cancel_answered {
+                        let (frame, ty) = raw.recv();
+                        if ty == "error" {
+                            // Only a cancel racing its job's `done` errs.
+                            assert_eq!(member(&frame, "code"), "unknown-job", "{frame}");
+                            cancel_answered = true;
+                            continue;
+                        }
+                        grammar.feed(&frame, &ty);
+                        if ty == "cancelled" {
+                            cancel_answered = true;
+                        }
+                        if ty == "accepted" {
+                            accepted += 1;
+                            if cancel && accepted == 1 {
+                                let job = member(&frame, "job");
+                                raw.send(vec![
+                                    ("type", Json::str("cancel")),
+                                    ("job", Json::str(job)),
+                                ]);
+                            }
+                        }
+                    }
+                }
+            });
+        }
+    });
+    shut_down(&socket, handle);
+}
+
+/// Open/closed flag that every `gated` mechanism build waits on.
+static GATE: (Mutex<bool>, Condvar) = (Mutex::new(false), Condvar::new());
+
+fn set_gate(open: bool) {
+    *GATE.0.lock().unwrap() = open;
+    GATE.1.notify_all();
+}
+
+/// `gated`: Baseline timings, but `build` waits until the test opens
+/// [`GATE`], so the test decides when a running cell may proceed.
+struct GatedFactory;
+
+impl MechanismFactory for GatedFactory {
+    fn name(&self) -> &str {
+        "gated"
+    }
+    fn describe(&self) -> &str {
+        "test double: Baseline whose build waits for the test's gate"
+    }
+    fn validate(&self, spec: &MechanismSpec) -> Result<(), String> {
+        spec.ensure_known_keys(&[])
+    }
+    fn build(
+        &self,
+        spec: &MechanismSpec,
+        ctx: &MechanismContext,
+    ) -> Result<Box<dyn LatencyMechanism>, String> {
+        self.validate(spec)?;
+        let mut open = GATE.0.lock().unwrap();
+        while !*open {
+            open = GATE.1.wait(open).unwrap();
+        }
+        Ok(Box::new(Baseline::new(ctx.timing)))
+    }
+}
+
+/// Opens [`GATE`] however the test ends, so a failed assertion cannot
+/// leave the daemon's worker blocked.
+struct OpenGateOnDrop;
+
+impl Drop for OpenGateOnDrop {
+    fn drop(&mut self) {
+        set_gate(true);
+    }
+}
+
+/// `shutdown` reports each dropped job on the connection that submitted
+/// it: the submitter reads `aborted` for its own job, and the client
+/// that asked for the shutdown reads only `bye`.
+#[test]
+fn shutdown_reports_aborted_jobs_to_their_own_clients() {
+    let _guard = CACHE_LOCK.lock().unwrap();
+    registry::register_mechanism(Arc::new(GatedFactory));
+    set_gate(false);
+    let _open = OpenGateOnDrop;
+    let (socket, handle) = start_server("abort", |cfg| cfg.threads = 1);
+    // The one worker takes the grid's first cell and blocks in its
+    // `gated` build, so the other four cells are queued when the
+    // shutdown arrives (or all five are, if it has not started yet).
+    let mut mechanisms = vec![MechanismSpec::new("gated")];
+    mechanisms.extend(MechanismSpec::paper_all().into_iter().take(4));
+    let s = spec(&["mcf"], mechanisms, tiny());
+    let mut a = Raw::connect(&socket);
+    a.send(vec![("type", Json::str("submit")), ("sweep", s.to_json())]);
+    let (accepted, ty) = a.recv();
+    assert_eq!(ty, "accepted", "{accepted}");
+    let job = member(&accepted, "job");
+
+    let mut b = Raw::connect(&socket);
+    b.send(vec![("type", Json::str("shutdown"))]);
+    let (aborted, ty) = a.recv();
+    assert_eq!(ty, "aborted", "the submitter read {aborted}");
+    assert_eq!(member(&aborted, "job"), job);
+
+    // The drain waits for the running cell: let it finish.
+    set_gate(true);
+    let (first, ty) = b.recv();
+    assert_eq!(ty, "bye", "the shutdown requester read {first}");
+    handle.join().expect("daemon thread");
 }
 
 // ---------------------------------------------------------------------------

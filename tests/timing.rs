@@ -4,7 +4,7 @@
 
 use std::sync::RwLock;
 
-use dram::{SpeedBin, TimingSpec, TimingValue};
+use dram::{ParamValue, SpeedBin, TimingSpec};
 use sim::api::Experiment;
 use sim::exp::{run_configured, ExpParams};
 use sim::{Engine, RunResult, SystemConfig};
@@ -54,8 +54,8 @@ fn seeded_random_timing_specs_roundtrip_through_display() {
         let nparams = next() % 5;
         for i in 0..nparams {
             let value = match next() % 2 {
-                0 => TimingValue::Int((next() % 10_000) as u32),
-                _ => TimingValue::Float((next() % 1_000_000) as f64 / 128.0),
+                0 => ParamValue::Int((next() % 10_000) as i64),
+                _ => ParamValue::Float((next() % 1_000_000) as f64 / 128.0),
             };
             // Unique keys: suffix with the index.
             spec.set(format!("{}{i}", token(&mut next)), value);
