@@ -49,8 +49,8 @@
 //! JSON byte for byte. A cell that panics fails *alone*: the rest of
 //! the sweep completes, the failure is reported per cell on stderr (and
 //! as an `error` object in `--json` output), and the process exits 3.
-//! `cache-gc --budget SIZE` trims the cache to a byte budget, evicting
-//! least-recently-used entries first.
+//! `cache-gc --budget SIZE` trims every file the cache writes to a byte
+//! budget, evicting least-recently-used files first.
 //!
 //! `--checkpoint-interval N` additionally checkpoints every *in-flight*
 //! cell to the cache directory every N retired instructions per core, so
@@ -612,7 +612,7 @@ impl CacheGcArgs {
 }
 
 /// Trims the disk run cache to a byte budget, least-recently-used
-/// entries first. Removal is atomic per entry, so sweeps reading the
+/// files first. Removal is atomic per entry, so sweeps reading the
 /// same directory concurrently see a clean miss, never a torn entry.
 fn cmd_cache_gc(args: &CacheGcArgs) -> Result<(), CliError> {
     let dir = args
