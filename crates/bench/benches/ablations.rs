@@ -1,4 +1,4 @@
-//! Ablations of the design decisions DESIGN.md calls out:
+//! Ablations of three ChargeCache design decisions:
 //!
 //! * **D1** — periodic (IIC/EC) vs exact per-entry invalidation: the
 //!   paper claims the cheap scheme loses almost nothing.
@@ -15,7 +15,7 @@
 use bench::{banner, mean, mixes, pct, sweep_mix_count, workloads};
 use chargecache::{MechanismSpec, ParamValue};
 use memctrl::SchedPolicy;
-use sim::api::{Experiment, SweepResult, Variant};
+use sim::api::{CellId, Experiment, SweepResult, Variant};
 use sim::exp::ExpParams;
 
 /// A labelled mechanism-spec patch (the ablation axes are all spec
@@ -26,7 +26,7 @@ fn cc_variant(label: &str, key: &'static str, value: ParamValue) -> Variant {
 
 fn hit_rate(sweep: &SweepResult, variant: &str) -> f64 {
     let hs: Vec<f64> = sweep
-        .cells_of("chargecache", variant)
+        .select(&CellId::new().mechanism("chargecache").variant(variant))
         .filter_map(|c| c.result().hcrac_hit_rate())
         .collect();
     mean(&hs)
@@ -119,9 +119,10 @@ fn main() {
     let mut gains = Vec::new();
     for sched in [SchedPolicy::Fcfs, SchedPolicy::FrFcfs] {
         let label = format!("{sched:?}");
+        let id = CellId::new().variant(&label);
         let speedups: Vec<f64> = sched_sweep
-            .cells_of("baseline", &label)
-            .zip(sched_sweep.cells_of("chargecache", &label))
+            .select(&id.clone().mechanism("baseline"))
+            .zip(sched_sweep.select(&id.mechanism("chargecache")))
             .filter(|(b, _)| b.result().ipc(0) > 0.0)
             .map(|(b, c)| c.result().ipc(0) / b.result().ipc(0) - 1.0)
             .collect();

@@ -14,7 +14,7 @@ use std::collections::HashMap;
 
 use bench::{banner, mean, mixes, pct, workloads};
 use chargecache::MechanismSpec;
-use sim::api::Experiment;
+use sim::api::{CellId, Experiment};
 use sim::exp::ExpParams;
 
 /// The four non-baseline mechanisms, by registered name.
@@ -38,13 +38,14 @@ fn main() {
     let mut per_mech: HashMap<&str, Vec<f64>> = HashMap::new();
     let mut rows: Vec<(String, f64, Vec<f64>)> = Vec::new();
     for spec in &specs {
+        let id = CellId::new().subject(spec.name);
         let b = sweep
-            .cell(spec.name, "baseline", "paper")
+            .get(&id.clone().mechanism("baseline"))
             .expect("baseline cell");
         let speedups: Vec<f64> = MECHS
             .iter()
             .map(|&k| {
-                let c = sweep.cell(spec.name, k, "paper").expect("mechanism cell");
+                let c = sweep.get(&id.clone().mechanism(k)).expect("mechanism cell");
                 sweep.speedup(c, b)
             })
             .collect();
@@ -98,14 +99,17 @@ fn main() {
     );
     let mut per_mech8: HashMap<&str, Vec<f64>> = HashMap::new();
     for mix in &mix_list {
+        let id = CellId::new().subject(&mix.name);
         let b = sweep8
-            .cell(&mix.name, "baseline", "paper")
+            .get(&id.clone().mechanism("baseline"))
             .expect("baseline cell");
         let ws_base = sweep8.weighted_speedup(b).expect("alone runs computed");
         let speedups: Vec<f64> = MECHS
             .iter()
             .map(|&k| {
-                let c = sweep8.cell(&mix.name, k, "paper").expect("mechanism cell");
+                let c = sweep8
+                    .get(&id.clone().mechanism(k))
+                    .expect("mechanism cell");
                 let ws = sweep8.weighted_speedup(c).expect("alone runs computed");
                 ws / ws_base.max(1e-9) - 1.0
             })

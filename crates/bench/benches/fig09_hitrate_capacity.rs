@@ -10,7 +10,7 @@
 
 use bench::{banner, mean, mixes, pct, sweep_mix_count, workloads};
 use chargecache::{MechanismSpec, ParamValue};
-use sim::api::{Experiment, SweepResult, Variant};
+use sim::api::{CellId, Experiment, SweepResult, Variant};
 use sim::exp::ExpParams;
 
 const CAPACITIES: [usize; 7] = [32, 64, 128, 256, 512, 1024, 2048];
@@ -29,7 +29,7 @@ fn capacity_variants() -> Vec<Variant> {
 
 fn mean_hit_rate(sweep: &SweepResult, variant: &str) -> f64 {
     let hs: Vec<f64> = sweep
-        .cells_of("chargecache", variant)
+        .select(&CellId::new().mechanism("chargecache").variant(variant))
         .filter_map(|c| c.result().hcrac_hit_rate())
         .collect();
     mean(&hs)

@@ -9,7 +9,7 @@
 
 use bench::{banner, mean, mixes, pct, sweep_mix_count, workloads};
 use chargecache::MechanismSpec;
-use sim::api::{Experiment, Variant};
+use sim::api::{CellId, Experiment, Variant};
 use sim::exp::ExpParams;
 
 const CAPACITIES: [usize; 6] = [32, 64, 128, 256, 512, 1024];
@@ -63,7 +63,7 @@ fn main() {
             .iter()
             .map(|b| {
                 let c = cc1
-                    .cell(&b.subject, "chargecache", &label)
+                    .get(&CellId::new().subject(&b.subject).variant(&label))
                     .expect("capacity cell");
                 c.result().ipc(0) / b.result().ipc(0).max(1e-9) - 1.0
             })
@@ -73,7 +73,7 @@ fn main() {
             .iter()
             .map(|b| {
                 let c = cc8
-                    .cell(&b.subject, "chargecache", &label)
+                    .get(&CellId::new().subject(&b.subject).variant(&label))
                     .expect("capacity cell");
                 c.result().ipc_sum() / b.result().ipc_sum().max(1e-9) - 1.0
             })

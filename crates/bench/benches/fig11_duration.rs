@@ -10,7 +10,7 @@
 use bench::{banner, mean, mixes, pct, sweep_mix_count, workloads};
 use bitline::derive::CycleQuantized;
 use chargecache::MechanismSpec;
-use sim::api::{Experiment, Variant};
+use sim::api::{CellId, Experiment, Variant};
 use sim::exp::ExpParams;
 
 const DURATIONS_MS: [f64; 4] = [1.0, 4.0, 8.0, 16.0];
@@ -71,7 +71,7 @@ fn main() {
         let mut h1 = Vec::new();
         for b in &base1.cells {
             let c = cc1
-                .cell(&b.subject, "chargecache", &label)
+                .get(&CellId::new().subject(&b.subject).variant(&label))
                 .expect("duration cell");
             s1.push(c.result().ipc(0) / b.result().ipc(0).max(1e-9) - 1.0);
             if let Some(h) = c.result().hcrac_hit_rate() {
@@ -82,7 +82,7 @@ fn main() {
         let mut h8 = Vec::new();
         for b in &base8.cells {
             let c = cc8
-                .cell(&b.subject, "chargecache", &label)
+                .get(&CellId::new().subject(&b.subject).variant(&label))
                 .expect("duration cell");
             s8.push(c.result().ipc_sum() / b.result().ipc_sum().max(1e-9) - 1.0);
             if let Some(h) = c.result().hcrac_hit_rate() {

@@ -22,7 +22,7 @@
 use bench::{banner, mean, pct, workloads};
 use chargecache::MechanismSpec;
 use dram::FamilySpec;
-use sim::api::Experiment;
+use sim::api::{CellId, Experiment};
 use sim::exp::ExpParams;
 
 const FAMILIES: [&str; 4] = ["ddr3", "ddr4", "lpddr4x", "hbm2"];
@@ -71,13 +71,14 @@ fn main() {
         let mut base_ipc = Vec::new();
         let mut speedups = [Vec::new(), Vec::new(), Vec::new()];
         for w in workloads() {
+            let id = CellId::new().subject(w.name).family(&family);
             let base = sweep
-                .cell_in(w.name, &family, "baseline", "paper")
+                .get(&id.clone().mechanism("baseline"))
                 .expect("baseline cell");
             base_ipc.push(base.result().ipc(0));
             for (i, mech) in ["chargecache", "cc-nuat", "lldram"].iter().enumerate() {
                 let c = sweep
-                    .cell_in(w.name, &family, mech, "paper")
+                    .get(&id.clone().mechanism(*mech))
                     .expect("mechanism cell");
                 speedups[i].push(c.result().ipc(0) / base.result().ipc(0).max(1e-9) - 1.0);
             }

@@ -18,7 +18,7 @@
 use bench::{banner, mean, pct, workloads};
 use chargecache::MechanismSpec;
 use dram::{SpeedBin, TimingSpec};
-use sim::api::Experiment;
+use sim::api::{CellId, Experiment};
 use sim::exp::ExpParams;
 
 fn main() {
@@ -52,13 +52,14 @@ fn main() {
         let mut base_ipc = Vec::new();
         let mut speedups = [Vec::new(), Vec::new(), Vec::new()];
         for w in workloads() {
+            let id = CellId::new().subject(w.name).timing(&timing);
             let base = sweep
-                .cell_at(w.name, &timing, "baseline", "paper")
+                .get(&id.clone().mechanism("baseline"))
                 .expect("baseline cell");
             base_ipc.push(base.result().ipc(0));
             for (i, mech) in ["chargecache", "cc-nuat", "lldram"].iter().enumerate() {
                 let c = sweep
-                    .cell_at(w.name, &timing, mech, "paper")
+                    .get(&id.clone().mechanism(*mech))
                     .expect("mechanism cell");
                 speedups[i].push(c.result().ipc(0) / base.result().ipc(0).max(1e-9) - 1.0);
             }

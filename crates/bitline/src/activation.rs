@@ -52,16 +52,6 @@ impl ActivationModel {
         Self { cell, senseamp }
     }
 
-    /// The cell model in use.
-    pub fn cell(&self) -> &CellModel {
-        &self.cell
-    }
-
-    /// The sense-amplifier model in use.
-    pub fn senseamp(&self) -> &SenseAmpModel {
-        &self.senseamp
-    }
-
     /// Time after ACT at which the bitline reaches the ready-to-access
     /// level for a cell of age `age_ms`, in nanoseconds.
     pub fn ready_time_ns(&self, age_ms: f64) -> f64 {

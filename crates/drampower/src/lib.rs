@@ -1,5 +1,5 @@
 //! IDD-based DDR3 energy model — the reproduction's DRAMPower substitute
-//! (DESIGN.md substitution S3).
+//! (substitution S3 in `docs/ARCHITECTURE.md`).
 //!
 //! Follows the standard Micron power-calculation methodology: per-command
 //! charge packets for activate/precharge pairs, read/write bursts and

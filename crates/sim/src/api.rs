@@ -15,7 +15,7 @@
 //!
 //! ```
 //! use chargecache::MechanismSpec;
-//! use sim::api::{Experiment, Metric, Variant};
+//! use sim::api::{CellId, Experiment, Metric, Variant};
 //! use sim::ExpParams;
 //! use traces::workload;
 //!
@@ -29,8 +29,9 @@
 //!     .run()
 //!     .expect("valid paper configuration");
 //!
-//! let base = sweep.cell("tpch6", "baseline", "64").unwrap();
-//! let cc = sweep.cell("tpch6", "chargecache", "128").unwrap();
+//! let tpch6 = CellId::new().subject("tpch6");
+//! let base = sweep.get(&tpch6.clone().mechanism("baseline").variant("64")).unwrap();
+//! let cc = sweep.get(&tpch6.mechanism("chargecache").variant("128")).unwrap();
 //! assert!(cc.metric(Metric::Ipc) >= base.metric(Metric::Ipc));
 //! let json = sweep.to_json();
 //! assert!(sim::json::parse_sweep(&json).is_ok());
@@ -51,7 +52,7 @@
 //!
 //! ```
 //! use chargecache::MechanismSpec;
-//! use sim::api::Experiment;
+//! use sim::api::{CellId, Experiment};
 //! use sim::ExpParams;
 //! use traces::workload;
 //!
@@ -64,8 +65,9 @@
 //!     .params(p)
 //!     .run()
 //!     .expect("valid configuration");
-//! let base = sweep.cell_at("STREAMcopy", "ddr3-2133", "baseline", "paper").unwrap();
-//! let ll = sweep.cell_at("STREAMcopy", "ddr3-2133", "lldram", "paper").unwrap();
+//! let fast = CellId::new().timing("ddr3-2133");
+//! let base = sweep.get(&fast.clone().mechanism("baseline")).unwrap();
+//! let ll = sweep.get(&fast.mechanism("lldram")).unwrap();
 //! assert!(ll.result().ipc(0) >= base.result().ipc(0));
 //! ```
 //!
@@ -73,7 +75,7 @@
 //!
 //! Each cell executes under `catch_unwind` with a bounded retry, so a
 //! panicking mechanism poisons only its own cell: the sweep completes and
-//! the cell carries a typed [`CellError`] in [`Cell::outcome`] (v4 JSON
+//! the cell carries a typed [`CellError`] in [`Cell::outcome`] (the sweep JSON
 //! encodes it as an `error` member). With
 //! [`Experiment::cache_dir`], every completed result is also persisted
 //! through the content-addressed [`crate::cache::DiskCache`] the moment
@@ -456,15 +458,7 @@ impl Experiment {
         variant: &Variant,
     ) -> Result<SystemConfig, String> {
         let mut cfg = subject.base_config(mechanism);
-        let family_default = family.is_default();
-        if !family_default {
-            cfg.set_family(family.clone())
-                .map_err(|e| format!("family {family}: {e}"))?;
-        }
-        if family_default || !timing.is_default() {
-            cfg.set_timing(timing.clone())
-                .map_err(|e| format!("timing {timing}: {e}"))?;
-        }
+        install_device(&mut cfg, family, timing)?;
         if let Some(c) = &self.configure {
             (c.apply)(&mut cfg);
         }
@@ -500,7 +494,7 @@ impl Experiment {
         }
         // Canonicalize registry aliases (`cc` → `chargecache`, …) so the
         // duplicate check catches aliased repeats, cache keys coincide,
-        // and `SweepResult::cell` lookups by canonical name always hit.
+        // and `SweepResult::get` lookups by canonical name always hit.
         let mechanisms: Vec<MechanismSpec> = if self.mechanisms.is_empty() {
             MechanismSpec::paper_all().to_vec()
         } else {
@@ -641,19 +635,11 @@ impl Experiment {
                         continue;
                     }
                     alone_names.push(app.name.to_string());
+                    // The denominators describe the same device as the
+                    // cells, but skip `configure`, like any paper run.
                     let mut cfg = SystemConfig::paper_single_core(alone_mech.clone());
-                    // Mirror cell_config: the denominators must describe
-                    // the same device as the cells.
-                    let family = &plan.families[0];
-                    let family_default = family.is_default();
-                    if !family_default {
-                        cfg.set_family(family.clone())
-                            .map_err(|e| InvalidConfig(format!("family {family}: {e}")))?;
-                    }
-                    if family_default || !plan.timings[0].is_default() {
-                        cfg.set_timing(plan.timings[0].clone())
-                            .map_err(InvalidConfig)?;
-                    }
+                    install_device(&mut cfg, &plan.families[0], &plan.timings[0])
+                        .map_err(InvalidConfig)?;
                     if let Some(e) = self.engine {
                         cfg.engine = e;
                     }
@@ -703,6 +689,28 @@ impl Experiment {
             alone_mechanism: alone_spec,
         })
     }
+}
+
+/// Installs the device of one grid point on `cfg`: the family first
+/// (geometry, refresh granularity, default bin), then the timing spec.
+/// A default `ddr3` family is not re-installed (see
+/// [`Experiment::cell_config`]), and under a non-default family a
+/// bare-default timing keeps the family's bin.
+fn install_device(
+    cfg: &mut SystemConfig,
+    family: &FamilySpec,
+    timing: &TimingSpec,
+) -> Result<(), String> {
+    let family_default = family.is_default();
+    if !family_default {
+        cfg.set_family(family.clone())
+            .map_err(|e| format!("family {family}: {e}"))?;
+    }
+    if family_default || !timing.is_default() {
+        cfg.set_timing(timing.clone())
+            .map_err(|e| format!("timing {timing}: {e}"))?;
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -852,7 +860,7 @@ pub fn clear_run_cache() {
 const MAX_ATTEMPTS: u32 = 2;
 
 /// Why one sweep cell failed. Carried in [`Cell::outcome`] (and encoded
-/// as the v4 JSON `error` member) instead of aborting the sweep.
+/// as the sweep JSON `error` member) instead of aborting the sweep.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CellError {
     /// Failure class.
@@ -1124,6 +1132,107 @@ fn execute_job(
 // Results
 // ---------------------------------------------------------------------------
 
+/// A cell's identity on the five grid axes, and the one query type of
+/// [`SweepResult::get`]/[`SweepResult::select`] and their
+/// [`crate::json::SweepDoc`] twins.
+///
+/// [`Cell::id`] returns every field set. A query sets only the axes it
+/// cares about; an unset field matches anything:
+///
+/// ```
+/// use sim::api::CellId;
+///
+/// let q = CellId::new().subject("mcf").timing("ddr3-2133").mechanism("chargecache");
+/// assert_eq!(q.to_string(), "mcf/*/ddr3-2133/chargecache/*");
+/// ```
+///
+/// `mechanism` matches the full spec string (`"chargecache(entries=64)"`)
+/// or the bare name (`"chargecache"`); `family` and `timing` match the
+/// full spec string (`"ddr4(bank_groups=2)"`, `"ddr3-1866"`); `subject`
+/// and `variant` match exactly.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CellId {
+    /// Subject (workload or mix) name.
+    pub subject: Option<String>,
+    /// Device-family spec string.
+    pub family: Option<String>,
+    /// Effective timing spec string.
+    pub timing: Option<String>,
+    /// Mechanism spec string or bare name.
+    pub mechanism: Option<String>,
+    /// Variant label.
+    pub variant: Option<String>,
+}
+
+impl CellId {
+    /// The query that matches every cell.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Sets the subject.
+    #[must_use]
+    pub fn subject(mut self, s: impl Into<String>) -> Self {
+        self.subject = Some(s.into());
+        self
+    }
+
+    /// Sets the family spec string.
+    #[must_use]
+    pub fn family(mut self, f: impl Into<String>) -> Self {
+        self.family = Some(f.into());
+        self
+    }
+
+    /// Sets the timing spec string.
+    #[must_use]
+    pub fn timing(mut self, t: impl Into<String>) -> Self {
+        self.timing = Some(t.into());
+        self
+    }
+
+    /// Sets the mechanism spec string or bare name.
+    #[must_use]
+    pub fn mechanism(mut self, m: impl Into<String>) -> Self {
+        self.mechanism = Some(m.into());
+        self
+    }
+
+    /// Sets the variant label.
+    #[must_use]
+    pub fn variant(mut self, v: impl Into<String>) -> Self {
+        self.variant = Some(v.into());
+        self
+    }
+
+    /// True when every field set here matches `cell`, a full identity.
+    pub(crate) fn matches(&self, cell: &CellId) -> bool {
+        let eq = |q: &Option<String>, v: &Option<String>| q.is_none() || q == v;
+        let bare = cell.mechanism.as_deref().and_then(|m| m.split('(').next());
+        eq(&self.subject, &cell.subject)
+            && eq(&self.family, &cell.family)
+            && eq(&self.timing, &cell.timing)
+            && (eq(&self.mechanism, &cell.mechanism) || self.mechanism.as_deref() == bare)
+            && eq(&self.variant, &cell.variant)
+    }
+}
+
+/// `subject/family/timing/mechanism/variant`, with `*` for an unset
+/// field.
+impl std::fmt::Display for CellId {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let [s, fam, t, m, v] = [
+            &self.subject,
+            &self.family,
+            &self.timing,
+            &self.mechanism,
+            &self.variant,
+        ]
+        .map(|x| x.as_deref().unwrap_or("*"));
+        write!(f, "{s}/{fam}/{t}/{m}/{v}")
+    }
+}
+
 /// One executed grid cell.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cell {
@@ -1169,6 +1278,16 @@ pub enum Metric {
 }
 
 impl Cell {
+    /// This cell's full identity (every field set).
+    pub fn id(&self) -> CellId {
+        CellId::new()
+            .subject(&self.subject)
+            .family(self.family.to_string())
+            .timing(self.timing.to_string())
+            .mechanism(self.mechanism.to_string())
+            .variant(&self.variant)
+    }
+
     /// The measured result.
     ///
     /// # Panics
@@ -1180,10 +1299,7 @@ impl Cell {
     pub fn result(&self) -> &RunResult {
         match &self.outcome {
             Ok(r) => r,
-            Err(e) => panic!(
-                "cell {}/{}/{}/{}/{} failed: {e}",
-                self.subject, self.family, self.timing, self.mechanism, self.variant
-            ),
+            Err(e) => panic!("cell {} failed: {e}", self.id()),
         }
     }
 
@@ -1255,68 +1371,16 @@ pub struct SweepResult {
 }
 
 impl SweepResult {
-    /// Looks up one cell by subject name, mechanism and variant label.
-    /// `mechanism` matches either the spec's full string form
-    /// (`"chargecache(entries=64)"`) or its bare name (first match when
-    /// the axis has several specs of one name). With a multi-preset
-    /// timing axis this returns the cell of whichever timing was listed
-    /// first; use [`SweepResult::cell_at`] to select a timing.
-    pub fn cell(&self, subject: &str, mechanism: &str, variant: &str) -> Option<&Cell> {
-        self.cells.iter().find(|c| {
-            c.subject == subject && c.variant == variant && spec_matches(&c.mechanism, mechanism)
-        })
+    /// The first cell, in grid order, that `id` matches (see [`CellId`]
+    /// for the matching rules).
+    pub fn get(&self, id: &CellId) -> Option<&Cell> {
+        self.select(id).next()
     }
 
-    /// Looks up one cell by subject, timing spec string, mechanism and
-    /// variant label. `timing` matches the cell's full spec string
-    /// (`"ddr3-1866"`, `"ddr3-1600(trcd=13)"`); `mechanism` matches as
-    /// in [`SweepResult::cell`].
-    pub fn cell_at(
-        &self,
-        subject: &str,
-        timing: &str,
-        mechanism: &str,
-        variant: &str,
-    ) -> Option<&Cell> {
-        self.cells.iter().find(|c| {
-            c.subject == subject
-                && c.variant == variant
-                && c.timing.to_string() == timing
-                && spec_matches(&c.mechanism, mechanism)
-        })
-    }
-
-    /// Looks up one cell by subject, family spec string, mechanism and
-    /// variant label. `family` matches the cell's full spec string
-    /// (`"lpddr4x"`, `"ddr4(bank_groups=2)"`); `mechanism` matches as in
-    /// [`SweepResult::cell`]. This is the lookup for family sweeps, where
-    /// each family's cells carry that family's own default timing spec
-    /// and [`SweepResult::cell_at`] would need the effective bin name.
-    pub fn cell_in(
-        &self,
-        subject: &str,
-        family: &str,
-        mechanism: &str,
-        variant: &str,
-    ) -> Option<&Cell> {
-        self.cells.iter().find(|c| {
-            c.subject == subject
-                && c.variant == variant
-                && c.family.to_string() == family
-                && spec_matches(&c.mechanism, mechanism)
-        })
-    }
-
-    /// All cells of one mechanism × variant, in subject order
-    /// (`mechanism` matches as in [`SweepResult::cell`]).
-    pub fn cells_of<'a>(
-        &'a self,
-        mechanism: &'a str,
-        variant: &'a str,
-    ) -> impl Iterator<Item = &'a Cell> + 'a {
-        self.cells
-            .iter()
-            .filter(move |c| spec_matches(&c.mechanism, mechanism) && c.variant == variant)
+    /// Every cell that `id` matches, in grid order.
+    pub fn select(&self, id: &CellId) -> impl Iterator<Item = &Cell> {
+        let id = id.clone();
+        self.cells.iter().filter(move |c| id.matches(&c.id()))
     }
 
     /// Alone-run IPC of one workload, when computed.
@@ -1357,14 +1421,13 @@ impl SweepResult {
     }
 
     /// Encodes the whole table as deterministic JSON (schema
-    /// `chargecache-sweep/v4`; see `docs/SCHEMA.md` for the field
+    /// `chargecache-sweep/v5`; see `docs/SCHEMA.md` for the field
     /// reference). Mechanisms and timings are recorded as their spec
     /// strings (`"chargecache(entries=64)"`, `"ddr3-1866"`), so custom
     /// registered mechanisms and overridden presets round-trip
     /// losslessly; a failed cell keeps its identity members and carries
     /// an `error` object instead of metrics.
-    /// [`crate::json::parse_sweep`] reads v4 plus the archived v3, v2
-    /// and v1 documents.
+    /// [`crate::json::parse_sweep`] reads it back.
     pub fn to_json(&self) -> String {
         let alone = if self.alone.is_empty() {
             Json::Null
@@ -1463,120 +1526,110 @@ pub fn assemble_sweep_json(
     .to_string()
 }
 
-/// True if `query` identifies `spec`: the full spec string or the bare
-/// mechanism name.
-fn spec_matches(spec: &MechanismSpec, query: &str) -> bool {
-    spec.name() == query || spec.to_string() == query
-}
-
 impl Cell {
     /// Encodes this cell as its `chargecache-sweep/v5` `cells[]` object —
     /// the same encoding [`SweepResult::to_json`] embeds, and the wire
     /// format `cc-simd` streams per finished cell.
     pub fn to_json(&self) -> Json {
-        cell_json(self)
-    }
-}
-
-fn cell_json(c: &Cell) -> Json {
-    let identity = vec![
-        ("subject".into(), Json::str(&c.subject)),
-        ("family".into(), Json::str(c.family.to_string())),
-        ("timing".into(), Json::str(c.timing.to_string())),
-        ("mechanism".into(), Json::str(c.mechanism.to_string())),
-        ("variant".into(), Json::str(&c.variant)),
-        (
-            "apps".into(),
-            Json::Arr(c.apps.iter().map(Json::str).collect()),
-        ),
-    ];
-    let r = match &c.outcome {
-        Ok(r) => r,
-        Err(e) => {
-            // A failed cell keeps its identity members (so the grid
-            // shape is reconstructible) and carries the error instead of
-            // metrics.
-            let mut members = identity;
-            members.push((
-                "error".into(),
-                Json::Obj(vec![
-                    ("kind".into(), Json::str(e.kind.as_str())),
-                    ("message".into(), Json::str(&e.message)),
-                    ("attempts".into(), Json::uint(u64::from(e.attempts))),
-                ]),
-            ));
-            return Json::Obj(members);
-        }
-    };
-    let mut members = identity;
-    members.extend(vec![
-        (
-            "ipc".into(),
-            Json::Arr((0..c.apps.len()).map(|i| Json::num(r.ipc(i))).collect()),
-        ),
-        ("ipc_sum".into(), Json::num(r.ipc_sum())),
-        ("rmpkc".into(), Json::num(r.rmpkc())),
-        (
-            "hcrac_hit_rate".into(),
-            r.hcrac_hit_rate().map_or(Json::Null, Json::num),
-        ),
-        (
-            "mech".into(),
-            Json::Obj(
-                r.mech
-                    .iter()
-                    .map(|(name, v)| (name.to_string(), Json::uint(v)))
-                    .collect(),
+        let identity = vec![
+            ("subject".into(), Json::str(&self.subject)),
+            ("family".into(), Json::str(self.family.to_string())),
+            ("timing".into(), Json::str(self.timing.to_string())),
+            ("mechanism".into(), Json::str(self.mechanism.to_string())),
+            ("variant".into(), Json::str(&self.variant)),
+            (
+                "apps".into(),
+                Json::Arr(self.apps.iter().map(Json::str).collect()),
             ),
-        ),
-        ("energy_mj".into(), Json::num(r.energy.total_mj())),
-        ("cpu_cycles".into(), Json::uint(r.cpu_cycles)),
-        ("hit_cycle_cap".into(), Json::Bool(r.hit_cycle_cap)),
-        (
-            "dram".into(),
-            Json::Obj(vec![
-                ("reads".into(), Json::uint(r.ctrl.reads)),
-                ("writes".into(), Json::uint(r.ctrl.writes)),
-                ("row_hits".into(), Json::uint(r.ctrl.row_hits)),
-                ("row_misses".into(), Json::uint(r.ctrl.row_misses)),
-                ("row_conflicts".into(), Json::uint(r.ctrl.row_conflicts)),
-                ("refreshes".into(), Json::uint(r.ctrl.refreshes)),
-                (
-                    "avg_read_latency".into(),
-                    Json::num(r.ctrl.avg_read_latency()),
+        ];
+        let r = match &self.outcome {
+            Ok(r) => r,
+            Err(e) => {
+                // A failed cell keeps its identity members (so the grid
+                // shape is reconstructible) and carries the error instead of
+                // metrics.
+                let mut members = identity;
+                members.push((
+                    "error".into(),
+                    Json::Obj(vec![
+                        ("kind".into(), Json::str(e.kind.as_str())),
+                        ("message".into(), Json::str(&e.message)),
+                        ("attempts".into(), Json::uint(u64::from(e.attempts))),
+                    ]),
+                ));
+                return Json::Obj(members);
+            }
+        };
+        let mut members = identity;
+        members.extend(vec![
+            (
+                "ipc".into(),
+                Json::Arr((0..self.apps.len()).map(|i| Json::num(r.ipc(i))).collect()),
+            ),
+            ("ipc_sum".into(), Json::num(r.ipc_sum())),
+            ("rmpkc".into(), Json::num(r.rmpkc())),
+            (
+                "hcrac_hit_rate".into(),
+                r.hcrac_hit_rate().map_or(Json::Null, Json::num),
+            ),
+            (
+                "mech".into(),
+                Json::Obj(
+                    r.mech
+                        .iter()
+                        .map(|(name, v)| (name.to_string(), Json::uint(v)))
+                        .collect(),
                 ),
-            ]),
-        ),
-        (
-            "rltl".into(),
-            Json::Obj(vec![
-                (
-                    "intervals_ms".into(),
-                    Json::Arr(r.rltl.intervals_ms.iter().map(|&x| Json::num(x)).collect()),
-                ),
-                (
-                    "fraction".into(),
-                    Json::Arr(r.rltl.rltl_fraction.iter().map(|&x| Json::num(x)).collect()),
-                ),
-                (
-                    "refresh_8ms_fraction".into(),
-                    Json::num(r.rltl.refresh_8ms_fraction),
-                ),
-                ("activations".into(), Json::uint(r.rltl.activations)),
-            ]),
-        ),
-        (
-            "energy_pj".into(),
-            Json::Obj(vec![
-                ("background".into(), Json::num(r.energy.background_pj)),
-                ("activate".into(), Json::num(r.energy.activate_pj)),
-                ("read".into(), Json::num(r.energy.read_pj)),
-                ("write".into(), Json::num(r.energy.write_pj)),
-                ("refresh".into(), Json::num(r.energy.refresh_pj)),
-            ]),
-        ),
-    ]);
-    Json::Obj(members)
+            ),
+            ("energy_mj".into(), Json::num(r.energy.total_mj())),
+            ("cpu_cycles".into(), Json::uint(r.cpu_cycles)),
+            ("hit_cycle_cap".into(), Json::Bool(r.hit_cycle_cap)),
+            (
+                "dram".into(),
+                Json::Obj(vec![
+                    ("reads".into(), Json::uint(r.ctrl.reads)),
+                    ("writes".into(), Json::uint(r.ctrl.writes)),
+                    ("row_hits".into(), Json::uint(r.ctrl.row_hits)),
+                    ("row_misses".into(), Json::uint(r.ctrl.row_misses)),
+                    ("row_conflicts".into(), Json::uint(r.ctrl.row_conflicts)),
+                    ("refreshes".into(), Json::uint(r.ctrl.refreshes)),
+                    (
+                        "avg_read_latency".into(),
+                        Json::num(r.ctrl.avg_read_latency()),
+                    ),
+                ]),
+            ),
+            (
+                "rltl".into(),
+                Json::Obj(vec![
+                    (
+                        "intervals_ms".into(),
+                        Json::Arr(r.rltl.intervals_ms.iter().map(|&x| Json::num(x)).collect()),
+                    ),
+                    (
+                        "fraction".into(),
+                        Json::Arr(r.rltl.rltl_fraction.iter().map(|&x| Json::num(x)).collect()),
+                    ),
+                    (
+                        "refresh_8ms_fraction".into(),
+                        Json::num(r.rltl.refresh_8ms_fraction),
+                    ),
+                    ("activations".into(), Json::uint(r.rltl.activations)),
+                ]),
+            ),
+            (
+                "energy_pj".into(),
+                Json::Obj(vec![
+                    ("background".into(), Json::num(r.energy.background_pj)),
+                    ("activate".into(), Json::num(r.energy.activate_pj)),
+                    ("read".into(), Json::num(r.energy.read_pj)),
+                    ("write".into(), Json::num(r.energy.write_pj)),
+                    ("refresh".into(), Json::num(r.energy.refresh_pj)),
+                ]),
+            ),
+        ]);
+        Json::Obj(members)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1697,12 +1750,11 @@ mod tests {
             .run()
             .unwrap();
         assert_eq!(sweep.cells.len(), 4);
-        assert!(sweep.cell("tpch6", "baseline", "32").is_some());
-        assert!(sweep.cell("tpch6", "chargecache", "64").is_some());
-        assert!(sweep
-            .cell("tpch6", "chargecache(entries=64)", "64")
-            .is_some());
-        assert!(sweep.cell("tpch6", "nuat", "32").is_none());
+        let q = |m: &str, v: &str| CellId::new().subject("tpch6").mechanism(m).variant(v);
+        assert!(sweep.get(&q("baseline", "32")).is_some());
+        assert!(sweep.get(&q("chargecache", "64")).is_some());
+        assert!(sweep.get(&q("chargecache(entries=64)", "64")).is_some());
+        assert!(sweep.get(&q("nuat", "32")).is_none());
         for c in &sweep.cells {
             assert!(c.metric(Metric::Ipc) > 0.0);
         }

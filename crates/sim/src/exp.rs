@@ -3,9 +3,9 @@
 //!
 //! Each driver builds a paper-configured [`System`], warms it up, measures
 //! a fixed number of retired instructions per core, and returns the
-//! [`RunResult`]. Run lengths default to laptop-scale (DESIGN.md
-//! substitution S5) and scale with the `CC_SCALE` environment variable
-//! (e.g. `CC_SCALE=10` runs 10× longer).
+//! [`RunResult`]. Run lengths default to laptop-scale (substitution S5
+//! in `docs/ARCHITECTURE.md`) and scale with the `CC_SCALE` environment
+//! variable (e.g. `CC_SCALE=10` runs 10× longer).
 
 use chargecache::MechanismSpec;
 use traces::{MixSpec, WorkloadSpec};

@@ -9,48 +9,14 @@
 
 use std::fmt;
 
-/// The pre-redesign sweep schema: mechanisms recorded as fixed ids
-/// (`baseline`/`nuat`/`cc`/`ccnuat`/`lldram`). [`parse_sweep`] still
-/// reads it.
-pub const SCHEMA_V1: &str = "chargecache-sweep/v1";
+use crate::api::CellId;
 
-/// The PR 3 sweep schema: mechanisms recorded as
-/// [`chargecache::MechanismSpec`] strings (`chargecache(entries=64)`),
-/// plus a per-cell `mech` counter object — custom registered mechanisms
-/// round-trip losslessly. [`parse_sweep`] still reads it.
-pub const SCHEMA_V2: &str = "chargecache-sweep/v2";
-
-/// The PR 4 sweep schema: v2 plus the DRAM timing axis — a top-level
-/// `timings` array and a per-cell `timing` field, both
-/// [`dram::TimingSpec`] strings (`"ddr3-1866"`,
-/// `"ddr3-1600(trcd=13)"`). v1/v2 documents, which predate configurable
-/// timing, are read as implicitly `ddr3-1600` (the only device they
-/// could have simulated). [`parse_sweep`] still reads it.
-pub const SCHEMA_V3: &str = "chargecache-sweep/v3";
-
-/// The PR 7 sweep schema: v3 plus per-cell fault isolation. A cell
-/// that failed (panicking mechanism, mid-run configuration error) keeps
-/// its identity members (`subject`/`timing`/`mechanism`/`variant`/
-/// `apps`) and carries an `error` object
-/// (`{"kind","message","attempts"}`) instead of metric members.
-/// Successful cells are encoded exactly as in v3 — a sweep with no
-/// failures differs from its v3 encoding only in this schema string.
-/// [`parse_sweep`] still reads it.
-pub const SCHEMA_V4: &str = "chargecache-sweep/v4";
-
-/// The current sweep schema: v4 plus the DRAM device-family axis — a
-/// top-level `families` array and a per-cell `family` field, both
-/// [`dram::FamilySpec`] strings (`"ddr4"`, `"lpddr4x(channels=4)"`).
-/// v1–v4 documents, which predate the family layer, are read as
-/// implicitly `"ddr3"` (the only device structure they could have
-/// simulated).
+/// The sweep schema [`crate::api::SweepResult::to_json`] writes and
+/// [`parse_sweep`] reads: the device-family, timing, mechanism and
+/// variant axes as spec strings, plus per-cell fault isolation (a
+/// failed cell carries an `error` object instead of metrics). Archived
+/// v1–v4 documents are upgraded by hand; see `docs/SCHEMA.md`.
 pub const SCHEMA_V5: &str = "chargecache-sweep/v5";
-
-/// The timing spec string v1/v2 documents are normalized to.
-const V1_V2_TIMING: &str = "ddr3-1600";
-
-/// The family spec string v1–v4 documents are normalized to.
-const PRE_V5_FAMILY: &str = "ddr3";
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -385,10 +351,10 @@ impl Parser<'_> {
 }
 
 // ---------------------------------------------------------------------------
-// Typed sweep documents (v1–v5)
+// Typed sweep documents (v5)
 // ---------------------------------------------------------------------------
 
-/// A failed cell's error record (v4; see [`parse_sweep`]).
+/// A failed cell's error record (see [`parse_sweep`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SweepCellError {
     /// Failure class (`"panic"` or `"config"`).
@@ -400,16 +366,15 @@ pub struct SweepCellError {
 }
 
 /// One parsed sweep cell (see [`parse_sweep`]).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SweepCellDoc {
     /// Subject (workload or mix) name.
     pub subject: String,
-    /// Device-family spec string (v5; v1–v4 cells read as `"ddr3"`).
+    /// Device-family spec string.
     pub family: String,
-    /// Timing spec string (v3; v1/v2 cells read as `"ddr3-1600"`).
+    /// Effective timing spec string.
     pub timing: String,
-    /// Mechanism spec string, normalized to the v2 naming (v1 ids like
-    /// `cc` are mapped to `chargecache`).
+    /// Mechanism spec string.
     pub mechanism: String,
     /// Variant label.
     pub variant: String,
@@ -425,28 +390,40 @@ pub struct SweepCellDoc {
     pub hcrac_hit_rate: Option<f64>,
     /// Total DRAM energy in mJ.
     pub energy_mj: f64,
-    /// Mechanism counters (v2+; empty when reading v1 documents).
+    /// Mechanism counters.
     pub mech_counters: Vec<(String, u64)>,
-    /// Why this cell failed (v4). `Some` means the metric fields above
-    /// hold defaults (empty `ipc`, zeros) — only the identity members
-    /// were recorded.
+    /// Why this cell failed. `Some` means the metric fields above hold
+    /// defaults (empty `ipc`, zeros) — only the identity members were
+    /// recorded.
     pub error: Option<SweepCellError>,
+}
+
+impl SweepCellDoc {
+    /// This cell's full identity (every field set).
+    pub fn id(&self) -> CellId {
+        CellId::new()
+            .subject(&self.subject)
+            .family(&self.family)
+            .timing(&self.timing)
+            .mechanism(&self.mechanism)
+            .variant(&self.variant)
+    }
 }
 
 /// A parsed sweep document (see [`parse_sweep`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepDoc {
-    /// Schema version: 1, 2, 3, 4 or 5.
+    /// Schema version (always 5: [`parse_sweep`] reads only v5).
     pub schema_version: u32,
-    /// Device-family axis as spec strings (v5; `["ddr3"]` for v1–v4).
+    /// Device-family axis as spec strings.
     pub families: Vec<String>,
-    /// Timing axis as spec strings (v3; `["ddr3-1600"]` for v1/v2).
+    /// Timing axis as spec strings.
     pub timings: Vec<String>,
-    /// Mechanism axis as normalized spec strings.
+    /// Mechanism axis as spec strings.
     pub mechanisms: Vec<String>,
     /// Variant labels.
     pub variants: Vec<String>,
-    /// Alone-run mechanism (normalized spec string), if recorded.
+    /// Alone-run mechanism spec string, if recorded.
     pub alone_mechanism: Option<String>,
     /// Alone-run IPC per workload, in document order.
     pub alone_ipc: Vec<(String, f64)>,
@@ -455,23 +432,16 @@ pub struct SweepDoc {
 }
 
 impl SweepDoc {
-    /// Finds a cell by subject, mechanism (name or full spec string) and
-    /// variant label.
-    pub fn cell(&self, subject: &str, mechanism: &str, variant: &str) -> Option<&SweepCellDoc> {
-        self.cells.iter().find(|c| {
-            c.subject == subject
-                && c.variant == variant
-                && (c.mechanism == mechanism || c.mechanism.split('(').next() == Some(mechanism))
-        })
+    /// The first cell, in document order, that `id` matches (the
+    /// matching rules of [`crate::api::SweepResult::get`]).
+    pub fn get(&self, id: &CellId) -> Option<&SweepCellDoc> {
+        self.select(id).next()
     }
-}
 
-/// Maps a v1 mechanism id onto the v2 spec naming.
-fn normalize_v1_mechanism(id: &str) -> String {
-    match id {
-        "cc" => "chargecache".to_string(),
-        "ccnuat" => "cc-nuat".to_string(),
-        other => other.to_string(),
+    /// Every cell that `id` matches, in document order.
+    pub fn select(&self, id: &CellId) -> impl Iterator<Item = &SweepCellDoc> {
+        let id = id.clone();
+        self.cells.iter().filter(move |c| id.matches(&c.id()))
     }
 }
 
@@ -488,86 +458,71 @@ fn num_field(v: &Json, key: &str) -> Result<f64, String> {
         .ok_or_else(|| format!("missing numeric field {key:?}"))
 }
 
-/// Parses a sweep document of any schema version into a [`SweepDoc`].
-///
-/// v5 (`chargecache-sweep/v5`) is read as-is. Earlier versions read
-/// exactly as before, with absent axes normalized to the only device
-/// they could have described: v1–v4 get a `["ddr3"]` family axis and
-/// `"ddr3"` per cell, v1/v2 additionally get a `["ddr3-1600"]` timing
-/// axis and `"ddr3-1600"` per cell, and v1 mechanism ids are normalized
-/// to the v2+ spec naming — so downstream tooling written against the
-/// current schema reads archived results unchanged. Failed cells (v4+)
-/// populate [`SweepCellDoc::error`] and default the metric fields.
+fn str_arr(v: &Json, key: &str) -> Result<Vec<String>, String> {
+    v.get(key)
+        .and_then(Json::as_arr)
+        .ok_or_else(|| format!("missing array field {key:?}"))?
+        .iter()
+        .map(|x| {
+            x.as_str()
+                .map(str::to_string)
+                .ok_or_else(|| format!("non-string entry in {key:?}"))
+        })
+        .collect()
+}
+
+/// The members of the `{name: number}` object at `key`.
+fn num_members(v: &Json, key: &str) -> Result<Vec<(String, f64)>, String> {
+    let Some(Json::Obj(members)) = v.get(key) else {
+        return Err(format!("{key:?} must be an object"));
+    };
+    members
+        .iter()
+        .map(|(k, x)| {
+            x.as_num()
+                .map(|x| (k.clone(), x))
+                .ok_or_else(|| format!("non-numeric {key:?} entry {k:?}"))
+        })
+        .collect()
+}
+
+/// Parses a `chargecache-sweep/v5` document into a [`SweepDoc`]. Failed
+/// cells populate [`SweepCellDoc::error`] and default the metric fields.
 ///
 /// # Errors
 ///
-/// Returns a message on syntax errors, unknown schemas, or missing
-/// fields.
+/// Returns a message on syntax errors, missing fields or any other
+/// schema. An archived v1–v4 document is rejected with a pointer to the
+/// "Upgrading archived documents" section of `docs/SCHEMA.md`, which
+/// turns it into v5 in a few mechanical edits.
 pub fn parse_sweep(text: &str) -> Result<SweepDoc, String> {
     let doc = parse(text.trim())?;
-    let schema = str_field(&doc, "schema")?;
-    let schema_version = match schema.as_str() {
-        SCHEMA_V1 => 1,
-        SCHEMA_V2 => 2,
-        SCHEMA_V3 => 3,
-        SCHEMA_V4 => 4,
-        SCHEMA_V5 => 5,
-        other => return Err(format!("unknown sweep schema {other:?}")),
-    };
-    let normalize = |s: &str| -> String {
-        if schema_version == 1 {
-            normalize_v1_mechanism(s)
-        } else {
-            s.to_string()
+    match str_field(&doc, "schema")?.as_str() {
+        SCHEMA_V5 => {}
+        old @ ("chargecache-sweep/v1"
+        | "chargecache-sweep/v2"
+        | "chargecache-sweep/v3"
+        | "chargecache-sweep/v4") => {
+            return Err(format!(
+                "{old:?} is an archived sweep schema; upgrade it to {SCHEMA_V5:?} as \
+                 docs/SCHEMA.md \"Upgrading archived documents\" describes"
+            ))
         }
-    };
-    let str_arr = |key: &str| -> Result<Vec<String>, String> {
-        doc.get(key)
-            .and_then(Json::as_arr)
-            .ok_or_else(|| format!("missing array field {key:?}"))?
-            .iter()
-            .map(|v| {
-                v.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| format!("non-string entry in {key:?}"))
-            })
-            .collect()
-    };
-    let mechanisms = str_arr("mechanisms")?
-        .into_iter()
-        .map(|m| normalize(&m))
-        .collect();
-    let variants = str_arr("variants")?;
-    let timings = if schema_version >= 3 {
-        str_arr("timings")?
-    } else {
-        vec![V1_V2_TIMING.to_string()]
-    };
-    let families = if schema_version >= 5 {
-        str_arr("families")?
-    } else {
-        vec![PRE_V5_FAMILY.to_string()]
-    };
+        other => return Err(format!("unknown sweep schema {other:?}")),
+    }
+    let mechanisms = str_arr(&doc, "mechanisms")?;
+    let variants = str_arr(&doc, "variants")?;
+    let timings = str_arr(&doc, "timings")?;
+    let families = str_arr(&doc, "families")?;
     let (alone_mechanism, alone_ipc) = match doc.get("alone_ipc") {
         None | Some(Json::Null) => (None, Vec::new()),
-        Some(alone) => {
-            let mech = alone
+        Some(alone) => (
+            alone
                 .get("mechanism")
                 .and_then(Json::as_str)
-                .map(&normalize);
-            let ipcs = match alone.get("ipc") {
-                Some(Json::Obj(members)) => members
-                    .iter()
-                    .map(|(k, v)| {
-                        v.as_num()
-                            .map(|x| (k.clone(), x))
-                            .ok_or_else(|| format!("non-numeric alone IPC for {k:?}"))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?,
-                _ => return Err("alone_ipc.ipc must be an object".into()),
-            };
-            (mech, ipcs)
-        }
+                .map(str::to_string),
+            num_members(alone, "ipc")?,
+        ),
     };
     let mut cells = Vec::new();
     for cell in doc
@@ -575,83 +530,46 @@ pub fn parse_sweep(text: &str) -> Result<SweepDoc, String> {
         .and_then(Json::as_arr)
         .ok_or("missing array field \"cells\"")?
     {
-        let apps = cell
-            .get("apps")
-            .and_then(Json::as_arr)
-            .ok_or("cell missing \"apps\"")?
-            .iter()
-            .map(|v| v.as_str().map(str::to_string).ok_or("non-string app name"))
-            .collect::<Result<Vec<_>, _>>()?;
-        let timing = if schema_version >= 3 {
-            str_field(cell, "timing")?
-        } else {
-            V1_V2_TIMING.to_string()
+        let mut c = SweepCellDoc {
+            subject: str_field(cell, "subject")?,
+            family: str_field(cell, "family")?,
+            timing: str_field(cell, "timing")?,
+            mechanism: str_field(cell, "mechanism")?,
+            variant: str_field(cell, "variant")?,
+            apps: str_arr(cell, "apps")?,
+            ..SweepCellDoc::default()
         };
-        let family = if schema_version >= 5 {
-            str_field(cell, "family")?
-        } else {
-            PRE_V5_FAMILY.to_string()
-        };
-        // A v4+ failed cell: identity members + error object, no
-        // metrics.
-        if let Some(err) = cell.get("error").filter(|_| schema_version >= 4) {
-            cells.push(SweepCellDoc {
-                subject: str_field(cell, "subject")?,
-                family,
-                timing,
-                mechanism: normalize(&str_field(cell, "mechanism")?),
-                variant: str_field(cell, "variant")?,
-                apps,
-                ipc: Vec::new(),
-                ipc_sum: 0.0,
-                cpu_cycles: 0,
-                hcrac_hit_rate: None,
-                energy_mj: 0.0,
-                mech_counters: Vec::new(),
-                error: Some(SweepCellError {
+        match cell.get("error") {
+            // A failed cell: identity members + error object, no metrics.
+            Some(err) => {
+                c.error = Some(SweepCellError {
                     kind: str_field(err, "kind")?,
                     message: str_field(err, "message")?,
                     attempts: num_field(err, "attempts")? as u64,
-                }),
-            });
-            continue;
-        }
-        let ipc = cell
-            .get("ipc")
-            .and_then(Json::as_arr)
-            .ok_or("cell missing \"ipc\"")?
-            .iter()
-            .map(|v| v.as_num().ok_or("non-numeric ipc entry"))
-            .collect::<Result<Vec<_>, _>>()?;
-        let mech_counters = match cell.get("mech") {
-            Some(Json::Obj(members)) => members
-                .iter()
-                .map(|(k, v)| {
-                    v.as_num()
-                        .map(|x| (k.clone(), x as u64))
-                        .ok_or_else(|| format!("non-numeric mech counter {k:?}"))
                 })
-                .collect::<Result<Vec<_>, _>>()?,
-            _ => Vec::new(),
-        };
-        cells.push(SweepCellDoc {
-            subject: str_field(cell, "subject")?,
-            family,
-            timing,
-            mechanism: normalize(&str_field(cell, "mechanism")?),
-            variant: str_field(cell, "variant")?,
-            apps,
-            ipc,
-            ipc_sum: num_field(cell, "ipc_sum")?,
-            cpu_cycles: num_field(cell, "cpu_cycles")? as u64,
-            hcrac_hit_rate: cell.get("hcrac_hit_rate").and_then(Json::as_num),
-            energy_mj: num_field(cell, "energy_mj")?,
-            mech_counters,
-            error: None,
-        });
+            }
+            None => {
+                c.ipc = cell
+                    .get("ipc")
+                    .and_then(Json::as_arr)
+                    .ok_or("cell missing \"ipc\"")?
+                    .iter()
+                    .map(|v| v.as_num().ok_or("non-numeric ipc entry"))
+                    .collect::<Result<Vec<_>, _>>()?;
+                c.mech_counters = num_members(cell, "mech")?
+                    .into_iter()
+                    .map(|(k, x)| (k, x as u64))
+                    .collect();
+                c.ipc_sum = num_field(cell, "ipc_sum")?;
+                c.cpu_cycles = num_field(cell, "cpu_cycles")? as u64;
+                c.hcrac_hit_rate = cell.get("hcrac_hit_rate").and_then(Json::as_num);
+                c.energy_mj = num_field(cell, "energy_mj")?;
+            }
+        }
+        cells.push(c);
     }
     Ok(SweepDoc {
-        schema_version,
+        schema_version: 5,
         families,
         timings,
         mechanisms,
@@ -718,7 +636,43 @@ mod tests {
     }
 
     #[test]
-    fn parse_sweep_reads_v1_documents_with_normalized_mechanisms() {
+    fn parse_sweep_reads_error_cells() {
+        let v5 = r#"{
+            "schema":"chargecache-sweep/v5",
+            "params":{"insts_per_core":2000,"warmup_insts":500,"max_cycle_factor":300,"seed":42},
+            "families":["ddr3"],
+            "timings":["ddr3-1600"],
+            "mechanisms":["baseline","faulty"],
+            "variants":["paper"],
+            "alone_ipc":null,
+            "cells":[
+                {"subject":"tpch2","family":"ddr3","timing":"ddr3-1600","mechanism":"baseline",
+                 "variant":"paper","apps":["tpch2"],"ipc":[0.75],"ipc_sum":0.75,"rmpkc":1.5,
+                 "hcrac_hit_rate":null,"mech":{},"energy_mj":0.002,"cpu_cycles":4000,
+                 "hit_cycle_cap":false},
+                {"subject":"tpch2","family":"ddr3","timing":"ddr3-1600","mechanism":"faulty",
+                 "variant":"paper","apps":["tpch2"],
+                 "error":{"kind":"panic","message":"injected fault","attempts":2}}
+            ]
+        }"#;
+        let doc = parse_sweep(v5).unwrap();
+        assert_eq!(doc.schema_version, 5);
+        assert_eq!(doc.families, ["ddr3"]);
+        let tpch2 = CellId::new().subject("tpch2").variant("paper");
+        let ok = doc.get(&tpch2.clone().mechanism("baseline")).unwrap();
+        assert!(ok.error.is_none());
+        assert_eq!(ok.ipc, [0.75]);
+        let failed = doc.get(&tpch2.mechanism("faulty")).unwrap();
+        assert_eq!(failed.family, "ddr3");
+        let err = failed.error.as_ref().unwrap();
+        assert_eq!(err.kind, "panic");
+        assert_eq!(err.message, "injected fault");
+        assert_eq!(err.attempts, 2);
+        assert!(failed.ipc.is_empty());
+    }
+
+    #[test]
+    fn parse_sweep_rejects_v1_documents_and_their_upgrade_normalizes_mechanisms() {
         // A minimal archived v1 document (the pre-redesign encoder's
         // layout with fixed mechanism ids).
         let v1 = r#"{
@@ -734,54 +688,75 @@ mod tests {
                 "cpu_cycles":4000,"hit_cycle_cap":false
             }]
         }"#;
-        let doc = parse_sweep(v1).unwrap();
-        assert_eq!(doc.schema_version, 1);
+        let err = parse_sweep(v1).unwrap_err();
+        assert!(err.contains("chargecache-sweep/v1"), "{err}");
+        assert!(err.contains("docs/SCHEMA.md"), "{err}");
+        assert!(err.contains("Upgrading archived documents"), "{err}");
+
+        // The steps docs/SCHEMA.md gives for a v1 document.
+        fn v1_id(v: &mut Json) {
+            if let Json::Str(s) = v {
+                match s.as_str() {
+                    "cc" => *s = "chargecache".into(),
+                    "ccnuat" => *s = "cc-nuat".into(),
+                    _ => {}
+                }
+            }
+        }
+        let Json::Obj(mut top) = parse(v1).unwrap() else {
+            panic!("sweep documents are objects")
+        };
+        for (key, value) in &mut top {
+            match (key.as_str(), value) {
+                ("schema", v) => *v = Json::str(SCHEMA_V5),
+                ("mechanisms", Json::Arr(ids)) => ids.iter_mut().for_each(v1_id),
+                ("alone_ipc", Json::Obj(members)) => {
+                    for (k, v) in members {
+                        if k == "mechanism" {
+                            v1_id(v);
+                        }
+                    }
+                }
+                ("cells", Json::Arr(cells)) => {
+                    for cell in cells {
+                        let Json::Obj(members) = cell else {
+                            panic!("cells are objects")
+                        };
+                        for (k, v) in members.iter_mut() {
+                            if k == "mechanism" {
+                                v1_id(v);
+                            }
+                        }
+                        members.push(("mech".into(), Json::Obj(vec![])));
+                        members.push(("timing".into(), Json::str("ddr3-1600")));
+                        members.push(("family".into(), Json::str("ddr3")));
+                    }
+                }
+                _ => {}
+            }
+        }
+        top.push(("timings".into(), Json::Arr(vec![Json::str("ddr3-1600")])));
+        top.push(("families".into(), Json::Arr(vec![Json::str("ddr3")])));
+
+        let doc = parse_sweep(&Json::Obj(top).to_string()).unwrap();
         assert_eq!(doc.mechanisms, ["baseline", "chargecache", "cc-nuat"]);
-        // Pre-v3 documents could only describe the paper's device.
         assert_eq!(doc.timings, ["ddr3-1600"]);
-        assert_eq!(doc.cells[0].timing, "ddr3-1600");
-        // Pre-v5 documents could only describe a DDR3-structured device.
         assert_eq!(doc.families, ["ddr3"]);
-        assert_eq!(doc.cells[0].family, "ddr3");
         assert_eq!(doc.alone_mechanism.as_deref(), Some("chargecache"));
         assert_eq!(doc.alone_ipc, vec![("tpch2".to_string(), 0.5)]);
-        let cell = doc.cell("tpch2", "chargecache", "128").unwrap();
+        let id = CellId::new()
+            .subject("tpch2")
+            .mechanism("chargecache")
+            .variant("128");
+        let cell = doc.get(&id).unwrap();
+        assert_eq!(
+            (cell.timing.as_str(), cell.family.as_str()),
+            ("ddr3-1600", "ddr3")
+        );
         assert_eq!(cell.ipc, [0.75]);
         assert_eq!(cell.cpu_cycles, 4000);
         assert_eq!(cell.hcrac_hit_rate, Some(0.25));
         assert!(cell.mech_counters.is_empty(), "v1 has no counter block");
-    }
-
-    #[test]
-    fn parse_sweep_reads_v4_error_cells() {
-        let v4 = r#"{
-            "schema":"chargecache-sweep/v4",
-            "params":{"insts_per_core":2000,"warmup_insts":500,"max_cycle_factor":300,"seed":42},
-            "timings":["ddr3-1600"],
-            "mechanisms":["baseline","faulty"],
-            "variants":["paper"],
-            "alone_ipc":null,
-            "cells":[
-                {"subject":"tpch2","timing":"ddr3-1600","mechanism":"baseline","variant":"paper",
-                 "apps":["tpch2"],"ipc":[0.75],"ipc_sum":0.75,"rmpkc":1.5,"hcrac_hit_rate":null,
-                 "mech":{},"energy_mj":0.002,"cpu_cycles":4000,"hit_cycle_cap":false},
-                {"subject":"tpch2","timing":"ddr3-1600","mechanism":"faulty","variant":"paper",
-                 "apps":["tpch2"],
-                 "error":{"kind":"panic","message":"injected fault","attempts":2}}
-            ]
-        }"#;
-        let doc = parse_sweep(v4).unwrap();
-        assert_eq!(doc.schema_version, 4);
-        assert_eq!(doc.families, ["ddr3"], "v4 normalizes to a ddr3 axis");
-        let ok = doc.cell("tpch2", "baseline", "paper").unwrap();
-        assert!(ok.error.is_none());
-        assert_eq!(ok.ipc, [0.75]);
-        let failed = doc.cell("tpch2", "faulty", "paper").unwrap();
-        let err = failed.error.as_ref().unwrap();
-        assert_eq!(err.kind, "panic");
-        assert_eq!(err.message, "injected fault");
-        assert_eq!(err.attempts, 2);
-        assert!(failed.ipc.is_empty());
     }
 
     #[test]

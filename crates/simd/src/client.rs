@@ -2,7 +2,7 @@
 //!
 //! [`Client::run_sweep`] submits one [`SweepSpec`] and blocks until the
 //! daemon has streamed every cell, then reassembles the grid into a
-//! `chargecache-sweep/v4` document through the same
+//! `chargecache-sweep/v5` document through the same
 //! [`sim::assemble_sweep_json`] the local path uses — so a served sweep
 //! is byte-identical to `Experiment::run(...).to_json()` of the same
 //! grid (the `alone_ipc` member is `null` on both paths: specs carry no
@@ -73,7 +73,7 @@ pub struct ServedSweep {
     /// Cells whose simulation failed (they carry `error` objects in the
     /// document, exactly like a local sweep).
     pub failed: u64,
-    /// The complete `chargecache-sweep/v4` document.
+    /// The complete `chargecache-sweep/v5` document.
     pub doc: String,
 }
 

@@ -14,10 +14,10 @@
 //! - [`server`] — the daemon: bounded job queue with per-client
 //!   backpressure, worker pool over [`sim::run_cell`] (which
 //!   single-flights identical cells across clients), per-cell result
-//!   streaming in the `chargecache-sweep/v4` cell schema, graceful
+//!   streaming in the `chargecache-sweep/v5` cell schema, graceful
 //!   drain on shutdown, and on-request [`sim::DiskCache::gc`].
 //! - [`client`] — a blocking client that submits a spec and reassembles
-//!   the streamed cells into a v4 document byte-identical to a local
+//!   the streamed cells into a v5 document byte-identical to a local
 //!   [`sim::api::Experiment::run`] of the same grid.
 //!
 //! See `docs/PROTOCOL.md` for the complete wire reference.

@@ -7,7 +7,7 @@
 //! ```
 
 use chargecache::{MechanismSpec, ParamValue};
-use sim::api::{Experiment, Variant};
+use sim::api::{CellId, Experiment, Variant};
 use sim::ExpParams;
 use traces::workload;
 
@@ -75,7 +75,7 @@ fn main() {
     }
 
     let unlimited = sweep
-        .cell(spec.name, "chargecache", "unlimited")
+        .get(&CellId::new().variant("unlimited"))
         .expect("unlimited cell");
     println!(
         "{:>8} {:>6} {:>9.1}% {:>+9.2}%",

@@ -12,7 +12,7 @@
 
 use chargecache::MechanismSpec;
 use dram::FamilySpec;
-use sim::api::Experiment;
+use sim::api::{CellId, Experiment};
 use sim::ExpParams;
 use traces::workload;
 
@@ -63,12 +63,13 @@ fn main() {
     );
     for f in &families {
         let family = f.to_string();
+        let id = CellId::new().family(&family);
         let base = sweep
-            .cell_in(spec.name, &family, "baseline", "paper")
+            .get(&id.clone().mechanism("baseline"))
             .expect("baseline cell");
         let speedup = |mech: &str| {
             let c = sweep
-                .cell_in(spec.name, &family, mech, "paper")
+                .get(&id.clone().mechanism(mech))
                 .expect("mechanism cell");
             format!(
                 "{:+.2}%",

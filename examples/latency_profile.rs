@@ -11,7 +11,7 @@
 
 use bitline::derive::CycleQuantized;
 use chargecache::MechanismSpec;
-use sim::api::Experiment;
+use sim::api::{CellId, Experiment};
 use sim::ExpParams;
 use traces::workload;
 
@@ -28,11 +28,11 @@ fn main() {
         .run()
         .expect("paper configuration is valid");
     let base = sweep
-        .cell(spec.name, "baseline", "paper")
+        .get(&CellId::new().mechanism("baseline"))
         .expect("baseline cell")
         .result();
     let ccr = sweep
-        .cell(spec.name, "chargecache", "paper")
+        .get(&CellId::new().mechanism("chargecache"))
         .expect("ChargeCache cell")
         .result();
 

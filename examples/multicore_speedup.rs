@@ -11,7 +11,7 @@
 //! ```
 
 use chargecache::MechanismSpec;
-use sim::api::Experiment;
+use sim::api::{CellId, Experiment};
 use sim::ExpParams;
 use traces::eight_core_mixes;
 
@@ -52,7 +52,7 @@ fn main() {
     );
     for spec in MechanismSpec::paper_all() {
         let cell = sweep
-            .cell(&mix.name, spec.name(), "paper")
+            .get(&CellId::new().mechanism(spec.name()))
             .expect("mechanism cell");
         let ws = sweep.weighted_speedup(cell).expect("alone runs computed");
         if spec.name() == "baseline" {

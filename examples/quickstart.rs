@@ -7,7 +7,7 @@
 //! ```
 
 use chargecache::MechanismSpec;
-use sim::api::{Experiment, Metric};
+use sim::api::{CellId, Experiment, Metric};
 use sim::ExpParams;
 use traces::workload;
 
@@ -28,10 +28,10 @@ fn main() {
         .expect("paper configuration is valid");
 
     let baseline = sweep
-        .cell(spec.name, "baseline", "paper")
+        .get(&CellId::new().mechanism("baseline"))
         .expect("baseline cell");
     let chargecache = sweep
-        .cell(spec.name, "chargecache", "paper")
+        .get(&CellId::new().mechanism("chargecache"))
         .expect("ChargeCache cell");
 
     println!("baseline IPC:     {:.4}", baseline.metric(Metric::Ipc));

@@ -1,7 +1,7 @@
 //! Latency sensitivity of row-access-locality caching: one workload
 //! swept across the JEDEC DDR3 speed bins for cc/ccnuat/ll, printing the
 //! speedup-vs-speed-bin curve and emitting the full sweep as a
-//! `chargecache-sweep/v4` JSON document (the schema records the timing
+//! `chargecache-sweep/v5` JSON document (the schema records the timing
 //! axis since v3).
 //!
 //! ```sh
@@ -11,7 +11,7 @@
 
 use chargecache::MechanismSpec;
 use dram::{SpeedBin, TimingSpec};
-use sim::api::Experiment;
+use sim::api::{CellId, Experiment};
 use sim::ExpParams;
 use traces::workload;
 
@@ -57,12 +57,13 @@ fn main() {
     );
     for bin in SpeedBin::DDR3 {
         let timing = TimingSpec::for_bin(bin).to_string();
+        let id = CellId::new().timing(&timing);
         let base = sweep
-            .cell_at(spec.name, &timing, "baseline", "paper")
+            .get(&id.clone().mechanism("baseline"))
             .expect("baseline cell");
         let speedup = |mech: &str| {
             let c = sweep
-                .cell_at(spec.name, &timing, mech, "paper")
+                .get(&id.clone().mechanism(mech))
                 .expect("mechanism cell");
             format!(
                 "{:+.2}%",

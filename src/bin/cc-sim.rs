@@ -83,7 +83,7 @@ use std::process::ExitCode;
 use chargecache::{registry, MechanismSpec, OverheadModel, ParamValue};
 use chargecache_repro::mechs::register_extended_mechanisms;
 use dram::{FamilySpec, TimingSpec};
-use sim::api::{Experiment, SweepResult};
+use sim::api::{Cell, Experiment, Subject, SweepResult};
 use sim::exp::{default_threads, ExpParams};
 use sim::{DiskCache, RunResult};
 use simd::{Client, ClientError, SweepSpec};
@@ -117,12 +117,9 @@ fn main() -> ExitCode {
         "--list-mechanisms" => cmd_list_mechanisms(),
         "--list-timings" => cmd_list_timings(),
         "--list-families" => cmd_list_families(),
-        "run" => RunArgs::parse(rest)
+        "run" | "mix" => SubjectArgs::parse(cmd, rest)
             .map_err(CliError::Usage)
-            .and_then(|a| cmd_run(&a)),
-        "mix" => MixArgs::parse(rest)
-            .map_err(CliError::Usage)
-            .and_then(|a| cmd_mix(&a)),
+            .and_then(|a| cmd_sweep(&a)),
         "bitline" => BitlineArgs::parse(rest)
             .map_err(CliError::Usage)
             .and_then(|a| cmd_bitline(&a)),
@@ -262,11 +259,10 @@ impl<'a> Cursor<'a> {
 }
 
 /// Flags shared by `run` and `mix`.
+#[derive(Default)]
 struct SweepArgs {
+    /// Every `--mechanism`, in order (the paper's five when none).
     mechanisms: Vec<MechanismSpec>,
-    /// Whether `--mechanism` appeared at least once: the first use
-    /// replaces the default axis, later uses accumulate.
-    mechanisms_set: bool,
     family: Option<FamilySpec>,
     timing: Option<TimingSpec>,
     entries: Option<usize>,
@@ -284,44 +280,12 @@ struct SweepArgs {
     server: Option<PathBuf>,
 }
 
-impl Default for SweepArgs {
-    fn default() -> Self {
-        Self {
-            mechanisms: MechanismSpec::paper_all().to_vec(),
-            mechanisms_set: false,
-            family: None,
-            timing: None,
-            entries: None,
-            duration: None,
-            insts: None,
-            warmup: None,
-            seed: None,
-            threads: None,
-            csv: false,
-            json: false,
-            out: None,
-            cache_dir: None,
-            no_cache: false,
-            checkpoint_interval: None,
-            server: None,
-        }
-    }
-}
-
 impl SweepArgs {
     /// Handles one shared flag; `Ok(false)` means the flag is not a sweep
     /// flag and the caller should try its own.
     fn try_flag(&mut self, flag: &str, cur: &mut Cursor) -> Result<bool, String> {
         match flag {
-            "mechanism" => {
-                let parsed = parse_mechanisms(cur.value(flag)?)?;
-                if self.mechanisms_set {
-                    self.mechanisms.extend(parsed);
-                } else {
-                    self.mechanisms = parsed;
-                    self.mechanisms_set = true;
-                }
-            }
+            "mechanism" => self.mechanisms.extend(parse_mechanisms(cur.value(flag)?)?),
             "timing" => {
                 let spec: TimingSpec = cur.value(flag)?.parse()?;
                 // Resolve up front so a bad preset or incoherent override
@@ -445,7 +409,11 @@ impl SweepArgs {
     /// The mechanism axis with `--entries` / `--duration` patched into
     /// every spec whose factory supports the parameter.
     fn specs(&self) -> Result<Vec<MechanismSpec>, String> {
-        let mut specs = self.mechanisms.clone();
+        let mut specs = if self.mechanisms.is_empty() {
+            MechanismSpec::paper_all().to_vec()
+        } else {
+            self.mechanisms.clone()
+        };
         for spec in &mut specs {
             if let Some(n) = self.entries {
                 if registry::supports_param(spec, "entries") {
@@ -481,8 +449,7 @@ impl SweepArgs {
 
     /// Emits the machine-readable sweep: to `--out` when given (the one
     /// I/O operation mapped to exit code 4), stdout otherwise.
-    fn emit_json(&self, sweep: &SweepResult) -> Result<(), CliError> {
-        let doc = sweep.to_json();
+    fn emit_json(&self, doc: &str) -> Result<(), CliError> {
         match &self.out {
             Some(path) => std::fs::write(path, doc.as_bytes())
                 .map_err(|e| CliError::Io(format!("writing {}: {e}", path.display()))),
@@ -533,10 +500,7 @@ impl SweepArgs {
 fn finish_sweep(args: &SweepArgs, sweep: &SweepResult) -> Result<(), CliError> {
     for cell in sweep.failed_cells() {
         if let Some(e) = cell.error() {
-            eprintln!(
-                "cell {}/{}/{}/{}/{} failed: {e}",
-                cell.subject, cell.family, cell.timing, cell.mechanism, cell.variant
-            );
+            eprintln!("cell {} failed: {e}", cell.id());
         }
     }
     args.report_cache();
@@ -573,11 +537,7 @@ fn run_served(a: &SweepArgs, subject: &str) -> Result<(), CliError> {
         ClientError::Aborted { .. } => CliError::Cell(e.to_string()),
         ClientError::Io(_) | ClientError::Protocol(_) => CliError::Io(e.to_string()),
     })?;
-    match &a.out {
-        Some(path) => std::fs::write(path, served.doc.as_bytes())
-            .map_err(|e| CliError::Io(format!("writing {}: {e}", path.display())))?,
-        None => println!("{}", served.doc),
-    }
+    a.emit_json(&served.doc)?;
     if served.failed > 0 {
         return Err(CliError::Cell(format!(
             "{} served sweep cell(s) failed (see the error objects in the JSON)",
@@ -659,54 +619,41 @@ fn parse_mechanisms(v: &str) -> Result<Vec<MechanismSpec>, String> {
     Ok(vec![spec])
 }
 
-struct RunArgs {
-    workload: String,
+/// `run --workload NAME` or `mix --index N`, plus the shared sweep
+/// flags.
+struct SubjectArgs {
+    subject: Subject,
     sweep: SweepArgs,
 }
 
-impl RunArgs {
-    fn parse(args: &[String]) -> Result<Self, String> {
+impl SubjectArgs {
+    fn parse(cmd: &str, args: &[String]) -> Result<Self, String> {
         let mut cur = Cursor::new(args);
-        let mut workload = None;
-        let mut sweep = SweepArgs::default();
-        while let Some(flag) = cur.next_flag()? {
-            if sweep.try_flag(flag, &mut cur)? {
-                continue;
-            }
-            match flag {
-                "workload" => workload = Some(cur.value(flag)?.to_string()),
-                other => return Err(format!("unknown flag --{other} for `run`")),
-            }
-        }
-        sweep.check()?;
-        Ok(Self {
-            workload: workload.ok_or("run needs --workload <name> (see `cc-sim list`)")?,
-            sweep,
-        })
-    }
-}
-
-struct MixArgs {
-    index: usize,
-    sweep: SweepArgs,
-}
-
-impl MixArgs {
-    fn parse(args: &[String]) -> Result<Self, String> {
-        let mut cur = Cursor::new(args);
+        let mut workload_name = None;
         let mut index = 1usize;
         let mut sweep = SweepArgs::default();
         while let Some(flag) = cur.next_flag()? {
             if sweep.try_flag(flag, &mut cur)? {
                 continue;
             }
-            match flag {
-                "index" => index = cur.parsed(flag)?,
-                other => return Err(format!("unknown flag --{other} for `mix`")),
+            match (cmd, flag) {
+                ("run", "workload") => workload_name = Some(cur.value(flag)?),
+                ("mix", "index") => index = cur.parsed(flag)?,
+                (_, other) => return Err(format!("unknown flag --{other} for `{cmd}`")),
             }
         }
         sweep.check()?;
-        Ok(Self { index, sweep })
+        let subject = if cmd == "run" {
+            let name = workload_name.ok_or("run needs --workload <name> (see `cc-sim list`)")?;
+            Subject::Single(workload(name).ok_or_else(|| format!("unknown workload {name:?}"))?)
+        } else {
+            let mixes = eight_core_mixes();
+            let mix = mixes
+                .get(index.wrapping_sub(1))
+                .ok_or_else(|| format!("--index must be 1..={}", mixes.len()))?;
+            Subject::Mix(mix.clone())
+        };
+        Ok(Self { subject, sweep })
     }
 }
 
@@ -846,8 +793,9 @@ fn cmd_list() -> Result<(), CliError> {
     Ok(())
 }
 
-fn print_result(label: &str, r: &RunResult, base_ipc: Option<f64>, csv: bool, cores: usize) {
-    let ipc = if cores == 1 { r.ipc(0) } else { r.ipc_sum() };
+fn print_result(cell: &Cell, r: &RunResult, base_ipc: Option<f64>, csv: bool) {
+    let label = cell.mechanism.label();
+    let ipc = cell.headline_ipc();
     let speedup = base_ipc.map(|b| ipc / b - 1.0);
     if csv {
         println!(
@@ -876,41 +824,40 @@ fn print_result(label: &str, r: &RunResult, base_ipc: Option<f64>, csv: bool, co
     }
 }
 
-fn csv_header(csv: bool) {
-    if csv {
-        println!("mechanism,ipc,speedup,hcrac_hit_rate,rltl_125us,rmpkc,energy_mj,cpu_cycles");
-    }
-}
-
-fn cmd_run(args: &RunArgs) -> Result<(), CliError> {
-    let spec = workload(&args.workload)
-        .ok_or_else(|| CliError::Usage(format!("unknown workload {:?}", args.workload)))?;
+/// `run` and `mix`: one sweep over the subject, printed as a table, CSV
+/// or the JSON document.
+fn cmd_sweep(args: &SubjectArgs) -> Result<(), CliError> {
     let a = &args.sweep;
+    let subject = &args.subject;
     if a.server.is_some() {
-        return run_served(a, spec.name);
+        return run_served(a, subject.name());
     }
-    let sweep = a
-        .experiment()
-        .map_err(CliError::Usage)?
-        .workload(spec.clone())
-        .run()
-        .map_err(|e| CliError::Usage(e.to_string()))?;
+    let exp = a.experiment().map_err(CliError::Usage)?;
+    let exp = match subject {
+        Subject::Single(w) => exp.workload(w.clone()),
+        Subject::Mix(m) => exp.mix(m.clone()),
+    };
+    let sweep = exp.run().map_err(|e| CliError::Usage(e.to_string()))?;
 
     if a.json {
-        a.emit_json(&sweep)?;
+        a.emit_json(&sweep.to_json())?;
         return finish_sweep(a, &sweep);
     }
-    if !a.csv {
+    if a.csv {
+        println!("mechanism,ipc,speedup,hcrac_hit_rate,rltl_125us,rmpkc,energy_mj,cpu_cycles");
+    } else if let Subject::Mix(mix) = subject {
+        let names: Vec<&str> = mix.apps.iter().map(|a| a.name).collect();
+        println!("mix {} : {}\n", mix.name, names.join(", "));
+    } else {
         let mechs: Vec<String> = sweep.mechanisms.iter().map(|m| m.to_string()).collect();
         println!(
             "workload {} | {} | {} | {} insts/core\n",
-            spec.name,
+            subject.name(),
             sweep.timings[0],
             mechs.join(", "),
             sweep.params.insts_per_core
         );
     }
-    csv_header(a.csv);
     let mut base_ipc = None;
     for cell in &sweep.cells {
         let Ok(r) = &cell.outcome else {
@@ -921,50 +868,9 @@ fn cmd_run(args: &RunArgs) -> Result<(), CliError> {
             eprintln!("warning: {} hit the safety cycle cap", cell.mechanism);
         }
         if cell.mechanism.name() == "baseline" {
-            base_ipc = Some(r.ipc(0));
+            base_ipc = Some(cell.headline_ipc());
         }
-        print_result(&cell.mechanism.label(), r, base_ipc, a.csv, 1);
-    }
-    finish_sweep(a, &sweep)
-}
-
-fn cmd_mix(args: &MixArgs) -> Result<(), CliError> {
-    let mixes = eight_core_mixes();
-    let mix = mixes
-        .get(args.index.wrapping_sub(1))
-        .ok_or_else(|| CliError::Usage(format!("--index must be 1..={}", mixes.len())))?;
-    let a = &args.sweep;
-    if a.server.is_some() {
-        return run_served(a, &mix.name);
-    }
-    let sweep = a
-        .experiment()
-        .map_err(CliError::Usage)?
-        .mix(mix.clone())
-        .run()
-        .map_err(|e| CliError::Usage(e.to_string()))?;
-
-    if a.json {
-        a.emit_json(&sweep)?;
-        return finish_sweep(a, &sweep);
-    }
-    if !a.csv {
-        let names: Vec<&str> = mix.apps.iter().map(|a| a.name).collect();
-        println!("mix {} : {}\n", mix.name, names.join(", "));
-    }
-    csv_header(a.csv);
-    let mut base_ipc = None;
-    for cell in &sweep.cells {
-        let Ok(r) = &cell.outcome else {
-            continue;
-        };
-        if r.hit_cycle_cap {
-            eprintln!("warning: {} hit the safety cycle cap", cell.mechanism);
-        }
-        if cell.mechanism.name() == "baseline" {
-            base_ipc = Some(r.ipc_sum());
-        }
-        print_result(&cell.mechanism.label(), r, base_ipc, a.csv, 8);
+        print_result(cell, r, base_ipc, a.csv);
     }
     finish_sweep(a, &sweep)
 }

@@ -12,7 +12,7 @@
 //! send one request, print the daemon's JSON response on stdout, and
 //! exit — enough for scripts and CI to drive a daemon without a JSON
 //! client. Sweep submission is the job of `cc-sim ... --json --server
-//! SOCKET`, which reassembles the streamed cells into a full v4
+//! SOCKET`, which reassembles the streamed cells into a full v5
 //! document; see `docs/PROTOCOL.md` for the raw wire protocol.
 //!
 //! # Exit codes

@@ -15,8 +15,8 @@
 //! * [`drampower`] — IDD-based DDR3 energy model;
 //! * [`sim`] — full-system simulator and experiment drivers.
 //!
-//! See `README.md` for the quickstart and `DESIGN.md` for the
-//! paper-to-module map.
+//! See `README.md` for the quickstart and `docs/ARCHITECTURE.md` for the
+//! crate map.
 //!
 //! # Example
 //!

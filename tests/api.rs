@@ -5,7 +5,7 @@
 use std::sync::Mutex;
 
 use chargecache::MechanismSpec;
-use sim::api::{self, Experiment, SampleSeries, Variant};
+use sim::api::{self, CellId, Experiment, SampleSeries, Variant};
 use sim::exp::{run_configured, ExpParams};
 use sim::{Engine, SystemConfig};
 use traces::workload;
@@ -85,9 +85,70 @@ fn mechanism_irrelevant_cc_variants_share_baseline_runs() {
     // Baseline mechanism never reads: six simulations, not eight.
     assert_eq!(sweep.cells.len(), 8);
     assert_eq!(api::run_cache_executions() - before, 6);
-    let b64 = sweep.cell("tpch2", "baseline", "64").unwrap();
-    let b128 = sweep.cell("tpch2", "baseline", "128").unwrap();
+    let base = CellId::new().subject("tpch2").mechanism("baseline");
+    let b64 = sweep.get(&base.clone().variant("64")).unwrap();
+    let b128 = sweep.get(&base.variant("128")).unwrap();
     assert_eq!(b64.result(), b128.result());
+}
+
+#[test]
+fn cell_ids_find_cells_on_every_axis() {
+    let _guard = CACHE_LOCK.lock().unwrap();
+    let sweep = Experiment::new()
+        .workload(workload("tpch2").unwrap())
+        .timings(["ddr3-1600", "ddr3-2133"].map(|t| t.parse().unwrap()))
+        .mechanisms(&[MechanismSpec::baseline(), MechanismSpec::chargecache()])
+        .variants([Variant::entries(64), Variant::entries(128)])
+        .params(tiny())
+        .run()
+        .unwrap();
+    assert_eq!(sweep.cells.len(), 8);
+    let doc = sim::json::parse_sweep(&sweep.to_json()).unwrap();
+
+    // A full identity names exactly one cell, in the result and in its
+    // document alike (the two timings included).
+    for cell in &sweep.cells {
+        let id = cell.id();
+        assert!(std::ptr::eq(sweep.get(&id).unwrap(), cell), "{id}");
+        assert_eq!(doc.get(&id).unwrap().id(), id);
+        assert_eq!(sweep.select(&id).count(), 1, "{id}");
+    }
+
+    // A partial query: `get` is the first match in grid order and
+    // `select` yields exactly the matching cells, in grid order. Grid
+    // order is timing (1600, 2133), then mechanism, then variant (64,
+    // 128); Baseline ignores the `entries` patch.
+    let queries: [(CellId, &[usize]); 6] = [
+        (CellId::new(), &[0, 1, 2, 3, 4, 5, 6, 7]),
+        (CellId::new().mechanism("chargecache"), &[2, 3, 6, 7]),
+        (CellId::new().mechanism("chargecache(entries=128)"), &[3, 7]),
+        (CellId::new().timing("ddr3-2133").variant("64"), &[4, 6]),
+        (
+            CellId::new()
+                .subject("tpch2")
+                .family("ddr3")
+                .mechanism("baseline"),
+            &[0, 1, 4, 5],
+        ),
+        (CellId::new().timing("ddr3-1866"), &[]),
+    ];
+    for (q, indices) in &queries {
+        let expected: Vec<CellId> = indices.iter().map(|&i| sweep.cells[i].id()).collect();
+        let selected: Vec<CellId> = sweep.select(q).map(|c| c.id()).collect();
+        assert_eq!(selected, expected, "select {q}");
+        let in_doc: Vec<CellId> = doc.select(q).map(|c| c.id()).collect();
+        assert_eq!(in_doc, expected, "doc select {q}");
+        assert_eq!(
+            sweep.get(q).map(|c| c.id()),
+            expected.first().cloned(),
+            "get {q}"
+        );
+        assert_eq!(
+            doc.get(q).map(|c| c.id()),
+            expected.first().cloned(),
+            "doc get {q}"
+        );
+    }
 }
 
 #[test]
@@ -101,7 +162,11 @@ fn alias_specs_canonicalize_in_sweeps() {
         .params(tiny())
         .run()
         .unwrap();
-    assert!(sweep.cell("tpch2", "chargecache", "paper").is_some());
+    let cc = CellId::new()
+        .subject("tpch2")
+        .mechanism("chargecache")
+        .variant("paper");
+    assert!(sweep.get(&cc).is_some());
     assert_eq!(sweep.mechanisms[0].name(), "chargecache");
 
     let err = Experiment::new()
@@ -208,7 +273,11 @@ fn cc_sim_json_is_valid_and_thread_count_invariant() {
     assert_eq!(typed.schema_version, 5);
     assert_eq!(typed.families, ["ddr3"]);
     assert_eq!(typed.timings, ["ddr3-1600"]);
-    assert!(typed.cell("tpch2", "chargecache", "paper").is_some());
+    let cc = CellId::new()
+        .subject("tpch2")
+        .mechanism("chargecache")
+        .variant("paper");
+    assert!(typed.get(&cc).is_some());
     for cell in cells {
         assert_eq!(cell.get("subject").and_then(|s| s.as_str()), Some("tpch2"));
         let ipc = cell.get("ipc").and_then(|i| i.as_arr()).unwrap()[0]
@@ -290,11 +359,10 @@ fn cc_sim_isolates_a_panicking_cell_and_exits_3() {
     let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
     let typed = sim::json::parse_sweep(&stdout).expect("typed v5 parse");
     assert_eq!(typed.schema_version, 5);
-    let ok = typed
-        .cell("tpch2", "baseline", "paper")
-        .expect("baseline cell");
+    let id = |m: &str| CellId::new().subject("tpch2").mechanism(m).variant("paper");
+    let ok = typed.get(&id("baseline")).expect("baseline cell");
     assert!(ok.error.is_none(), "healthy cell must carry no error");
-    let bad = typed.cell("tpch2", "faulty", "paper").expect("faulty cell");
+    let bad = typed.get(&id("faulty")).expect("faulty cell");
     let err = bad.error.as_ref().expect("faulty cell carries an error");
     assert_eq!(err.kind, "panic");
     assert_eq!(err.attempts, 2);

@@ -15,7 +15,7 @@ use chargecache::{
     registry, LatencyMechanism, MechanismContext, MechanismFactory, MechanismSpec, StatSink,
 };
 use dram::{ActTimings, BusCycle};
-use sim::api::{self, Experiment, Variant};
+use sim::api::{self, CellId, Experiment, Variant};
 use sim::exp::ExpParams;
 use sim::{CellErrorKind, DiskCache, Engine};
 use traces::workload;
@@ -345,7 +345,8 @@ fn panicking_mechanism_fails_only_its_own_cell() {
 
     // The poisoned cell carries a typed error with the bounded retry
     // count and the panic payload.
-    let bad = sweep.cell("tpch2", "test-panic", "paper").unwrap();
+    let id = |m: &str| CellId::new().subject("tpch2").mechanism(m).variant("paper");
+    let bad = sweep.get(&id("test-panic")).unwrap();
     let err = bad.error().expect("failed cell must expose its error");
     assert_eq!(err.kind, CellErrorKind::Panic);
     assert_eq!(err.attempts, 2, "panics are retried once, then recorded");
@@ -363,8 +364,8 @@ fn panicking_mechanism_fails_only_its_own_cell() {
         .unwrap();
     for mech in ["baseline", "chargecache"] {
         assert_eq!(
-            sweep.cell("tpch2", mech, "paper").unwrap().result(),
-            clean.cell("tpch2", mech, "paper").unwrap().result(),
+            sweep.get(&id(mech)).unwrap().result(),
+            clean.get(&id(mech)).unwrap().result(),
             "{mech} cell perturbed by a neighboring panic"
         );
     }
@@ -372,15 +373,11 @@ fn panicking_mechanism_fails_only_its_own_cell() {
     // The JSON round-trips the error cell through the typed parser.
     let doc = sim::json::parse_sweep(&sweep.to_json()).unwrap();
     assert_eq!(doc.schema_version, 5);
-    let cell = doc.cell("tpch2", "test-panic", "paper").unwrap();
+    let cell = doc.get(&id("test-panic")).unwrap();
     let e = cell.error.as_ref().expect("error object in the JSON");
     assert_eq!(e.kind, "panic");
     assert_eq!(e.attempts, 2);
-    assert!(doc
-        .cell("tpch2", "baseline", "paper")
-        .unwrap()
-        .error
-        .is_none());
+    assert!(doc.get(&id("baseline")).unwrap().error.is_none());
 
     // Failures are never memoized: re-running retries the faulty cell.
     let before = api::run_cache_executions();

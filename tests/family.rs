@@ -1,6 +1,6 @@
 //! The device-family layer, end to end: spec grammar and typed registry
 //! errors, family sweeps through `sim::api` with per-family effective
-//! timings, v5 JSON round-trips and pre-v5 normalization, per-bank
+//! timings, v5 JSON round-trips and the archived-document upgrade, per-bank
 //! refresh in a real run, and the `cc-sim` surface (`--family`,
 //! `--list-families`, family-grouped `--list-timings`) through a
 //! subprocess.
@@ -8,8 +8,9 @@
 use chargecache::MechanismSpec;
 use dram::family::{self, FamilyError};
 use dram::FamilySpec;
-use sim::api::Experiment;
+use sim::api::{CellId, Experiment};
 use sim::exp::{run_configured, ExpParams};
+use sim::json::Json;
 use sim::SystemConfig;
 use traces::workload;
 
@@ -100,8 +101,9 @@ fn family_axis_sweeps_with_per_family_effective_timings() {
         ("lpddr4x", "lpddr4x-3200"),
         ("hbm2", "hbm2-1000"),
     ] {
+        let id = CellId::new().subject(spec.name).family(fam);
         let c = sweep
-            .cell_in(spec.name, fam, "chargecache", "paper")
+            .get(&id.mechanism("chargecache").variant("paper"))
             .unwrap_or_else(|| panic!("missing cell for {fam}"));
         assert_eq!(c.timing.to_string(), bin, "effective bin of {fam}");
         assert!(c.result().ipc(0) > 0.0);
@@ -172,14 +174,14 @@ fn lpddr4x_per_bank_refresh_runs_and_refreshes() {
 }
 
 // ---------------------------------------------------------------------------
-// Pre-v5 JSON normalization.
+// Archived (pre-v5) JSON documents.
 // ---------------------------------------------------------------------------
 
 #[test]
-fn pre_v5_documents_normalize_the_family_to_ddr3() {
+fn archived_documents_are_rejected_and_upgrade_as_documented() {
     // A real v5 document, mechanically downgraded to v4: the schema
     // string reverts and the family fields disappear — exactly what a
-    // pre-PR binary wrote.
+    // pre-family binary wrote.
     let sweep = Experiment::new()
         .workload(workload("tpch2").unwrap())
         .mechanism(MechanismSpec::baseline())
@@ -191,11 +193,39 @@ fn pre_v5_documents_normalize_the_family_to_ddr3() {
         .replace("chargecache-sweep/v5", "chargecache-sweep/v4")
         .replace("\"families\":[\"ddr3\"],", "")
         .replace("\"family\":\"ddr3\",", "");
-    assert!(!v4.contains("families"), "downgrade left family fields");
-    let doc = sim::json::parse_sweep(&v4).unwrap();
-    assert_eq!(doc.schema_version, 4);
-    assert_eq!(doc.families, ["ddr3"], "v4 docs normalize to ddr3");
-    assert!(doc.cells.iter().all(|c| c.family == "ddr3"));
+    assert!(!v4.contains("famil"), "downgrade left family fields");
+
+    // The reader names the upgrade instead of guessing.
+    let err = sim::json::parse_sweep(&v4).unwrap_err();
+    assert!(err.contains("chargecache-sweep/v4"), "{err}");
+    assert!(err.contains("docs/SCHEMA.md"), "{err}");
+    assert!(err.contains("Upgrading archived documents"), "{err}");
+
+    // The upgrade docs/SCHEMA.md describes for a v4 document: add a
+    // `ddr3` family axis and per-cell family, and set the schema to v5.
+    let Json::Obj(mut top) = sim::json::parse(&v4).unwrap() else {
+        panic!("sweep documents are objects")
+    };
+    for (key, value) in &mut top {
+        match (key.as_str(), value) {
+            ("schema", v) => *v = Json::str(sim::json::SCHEMA_V5),
+            ("cells", Json::Arr(cells)) => {
+                for cell in cells {
+                    let Json::Obj(members) = cell else {
+                        panic!("cells are objects")
+                    };
+                    members.push(("family".into(), Json::str("ddr3")));
+                }
+            }
+            _ => {}
+        }
+    }
+    top.push(("families".into(), Json::Arr(vec![Json::str("ddr3")])));
+    let upgraded = Json::Obj(top).to_string();
+    assert_eq!(
+        sim::json::parse_sweep(&upgraded).unwrap(),
+        sim::json::parse_sweep(&v5).unwrap()
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -274,7 +304,11 @@ fn cc_sim_family_flag_runs_and_lands_in_v5_json() {
     let doc = sim::json::parse_sweep(&String::from_utf8(out.stdout).unwrap()).unwrap();
     assert_eq!(doc.schema_version, 5);
     assert_eq!(doc.families, ["lpddr4x"]);
-    let cell = doc.cell("tpch2", "chargecache", "paper").expect("cell");
+    let id = CellId::new()
+        .subject("tpch2")
+        .mechanism("chargecache")
+        .variant("paper");
+    let cell = doc.get(&id).expect("cell");
     assert_eq!(cell.family, "lpddr4x");
     assert_eq!(cell.timing, "lpddr4x-3200", "family default bin adopted");
 }

@@ -11,7 +11,7 @@ use chargecache::{
 };
 use chargecache_repro::mechs::register_extended_mechanisms;
 use dram::{ActTimings, BusCycle};
-use sim::api::Experiment;
+use sim::api::{CellId, Experiment};
 use sim::exp::{run_configured, ExpParams};
 use sim::SystemConfig;
 use traces::workload;
@@ -114,7 +114,11 @@ fn custom_mechanism_registered_from_a_test_runs_a_sweep() {
         .params(tiny())
         .run()
         .expect("registered mechanism sweeps like a built-in");
-    let cell = sweep.cell(spec.name, "every-nth", "paper").unwrap();
+    let id = CellId::new()
+        .subject(spec.name)
+        .mechanism("every-nth")
+        .variant("paper");
+    let cell = sweep.get(&id).unwrap();
     let acts = cell.result().mech.activates();
     assert!(acts > 0);
     // About ⌊acts/3⌋ activations were reduced — the custom logic ran.
@@ -130,7 +134,7 @@ fn custom_mechanism_registered_from_a_test_runs_a_sweep() {
     assert!(cell.result().mech.has("every_nth_period"));
     // And the v2 JSON names the custom spec.
     let doc = sim::json::parse_sweep(&sweep.to_json()).unwrap();
-    assert!(doc.cell(spec.name, "every-nth", "paper").is_some());
+    assert!(doc.get(&id).is_some());
     assert_eq!(doc.mechanisms[0], "every-nth(n=3)");
 }
 
@@ -165,9 +169,15 @@ fn facade_plugins_sweep_and_respect_the_oracle_ordering() {
         .params(tiny())
         .run()
         .expect("facade mechanisms registered");
-    let cc = sweep.cell(spec.name, "chargecache", "paper").unwrap();
-    let oracle = sweep.cell(spec.name, "perfect-cc", "paper").unwrap();
-    let ll = sweep.cell(spec.name, "lldram", "paper").unwrap();
+    let id = |m: &str| {
+        CellId::new()
+            .subject(spec.name)
+            .mechanism(m)
+            .variant("paper")
+    };
+    let cc = sweep.get(&id("chargecache")).unwrap();
+    let oracle = sweep.get(&id("perfect-cc")).unwrap();
+    let ll = sweep.get(&id("lldram")).unwrap();
     // The oracle upper-bounds the finite HCRAC and is itself bounded by
     // LL-DRAM (which also accelerates first touches).
     assert!(
@@ -245,7 +255,11 @@ fn cc_sim_lists_and_runs_plugin_mechanisms() {
     let doc = sim::json::parse_sweep(&String::from_utf8(out.stdout).unwrap()).unwrap();
     assert_eq!(doc.schema_version, 5);
     assert_eq!(doc.mechanisms, ["refresh-cc(entries=256)"]);
-    assert!(doc.cell("tpch2", "refresh-cc", "paper").is_some());
+    let id = CellId::new()
+        .subject("tpch2")
+        .mechanism("refresh-cc")
+        .variant("paper");
+    assert!(doc.get(&id).is_some());
 }
 
 #[test]

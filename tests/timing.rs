@@ -5,7 +5,7 @@
 use std::sync::RwLock;
 
 use dram::{ParamValue, SpeedBin, TimingSpec};
-use sim::api::Experiment;
+use sim::api::{CellId, Experiment};
 use sim::exp::{run_configured, ExpParams};
 use sim::{Engine, RunResult, SystemConfig};
 use traces::workload;
@@ -212,10 +212,14 @@ fn timing_axis_sweeps_speed_bins_with_per_bin_results() {
     assert_eq!(sweep.cells.len(), 10);
     for bin in SpeedBin::DDR3 {
         let t = TimingSpec::for_bin(bin).to_string();
+        let id = CellId::new()
+            .subject("STREAMcopy")
+            .timing(&t)
+            .variant("paper");
         let base = sweep
-            .cell_at("STREAMcopy", &t, "baseline", "paper")
+            .get(&id.clone().mechanism("baseline"))
             .unwrap_or_else(|| panic!("no baseline cell for {t}"));
-        let ll = sweep.cell_at("STREAMcopy", &t, "lldram", "paper").unwrap();
+        let ll = sweep.get(&id.mechanism("lldram")).unwrap();
         assert_eq!(base.timing.to_string(), t);
         // The idealized device is never slower than its own baseline.
         assert!(ll.result().ipc(0) >= base.result().ipc(0), "{t}");
@@ -226,8 +230,9 @@ fn timing_axis_sweeps_speed_bins_with_per_bin_results() {
         .iter()
         .map(|&b| {
             let t = TimingSpec::for_bin(b).to_string();
+            let id = CellId::new().subject("STREAMcopy").timing(&t);
             sweep
-                .cell_at("STREAMcopy", &t, "baseline", "paper")
+                .get(&id.mechanism("baseline").variant("paper"))
                 .unwrap()
                 .result()
                 .cpu_cycles
@@ -316,8 +321,12 @@ fn baseline_cells_memoize_once_per_bin_across_variants() {
     assert_eq!(again.cells.len(), 8);
     // Both baseline cells of one bin carry the same result (one run).
     for t in ["ddr3-1333", "ddr3-1866"] {
-        let a = sweep.cell_at("tpch2", t, "baseline", "64").unwrap();
-        let b = sweep.cell_at("tpch2", t, "baseline", "128").unwrap();
+        let id = CellId::new()
+            .subject("tpch2")
+            .timing(t)
+            .mechanism("baseline");
+        let a = sweep.get(&id.clone().variant("64")).unwrap();
+        let b = sweep.get(&id.variant("128")).unwrap();
         assert_eq!(a.result(), b.result(), "{t}");
     }
 }
